@@ -186,9 +186,10 @@ def run_replay_compare(labels, quick: bool = False,
     """Measure the replay cache's warm-repetition speedup.
 
     Every latency point of *labels* runs twice: replay off, then replay
-    on from a cold cache (so the on-leg pays its own pocket-recording
-    cost).  Virtual time must be bit-identical between the legs — a
-    mismatched ``latency_us`` or ``events``-independent field raises —
+    on from a cold cache (so the on-leg pays its own recording: the
+    live, measured second occurrence of each dispatch shape).  Virtual
+    time must be bit-identical between the legs — a mismatched
+    ``latency_us`` or ``events``-independent field raises —
     and the document records both legs' wall seconds and event counts,
     plus the aggregate ``speedup`` the CI gate checks.
     """

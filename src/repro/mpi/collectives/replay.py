@@ -26,27 +26,44 @@ increments, and the recorded span slice re-emitted time-shifted with a
 streams are bit-identical to normal execution (the equivalence suite
 asserts this); only the processed-event count drops — that is the point.
 
-Recording — the pocket simulation
----------------------------------
+Recording — the live second occurrence
+--------------------------------------
 The *first* occurrence of each dispatch shape in a job always executes
 live: one-off lazy setup (hierarchy sub-communicators, shared windows,
 per-comm caches) must happen in the live job exactly as it would with
 replay off, so first-occurrence cost — which includes that setup —
-stays bit-identical.  From the second occurrence on, a cache miss
-triggers a *pocket simulation* (:meth:`ReplaySession._record`): a
-fresh nested :class:`~repro.mpi.runtime.MPIJob` on the same machine
-spec rebuilds the dispatch from its signature vector, pays the one-off
-setup plus one warm run (mirroring the live job's never-replayed first
-execution), parks all ranks quiescently, then re-runs the dispatch
-once from a simultaneous release in the live arrival permutation.  The
-deltas of that steady-state run — per-rank tick durations, counter and
-traffic increments, span templates, profile increments — form the
-record, which is applied to the live job immediately (the miss itself
-becomes a hit).  Because scheduled delays are translation-invariant on
-the engine's tick grid, those deltas replay bit-identically from any
-later quiescent entry at any absolute time.  Records are cached
-process-globally, so repetitions across jobs in one process (the sweep
-service, parameter sweeps) record only once per dispatch shape.
+stays bit-identical.  The *second* quiescent, simultaneous occurrence
+also runs live, inside a measurement window (:class:`_MeasureState`)
+that opens at the simultaneous release.  Each rank reports when its
+dispatch returns — its tick delta, result and profile increments (read
+before ``Comm._collective`` adds its own top-level entry, which replay
+re-adds on the way out).  The last report closes the window with the
+counter and per-pair traffic increments and the span slice since the
+release; together they form the record, which is cached and applies
+from the third occurrence on.  Because scheduled delays are
+translation-invariant on the engine's tick grid, those deltas replay
+bit-identically from any later quiescent entry at any absolute time.
+Records are cached process-globally, so repetitions across jobs in one
+process (the sweep service, parameter sweeps) record only once per
+dispatch shape.
+
+The window must contain the dispatch and nothing else.  It is
+*tainted* when, before the last rank reports, a rank that has already
+reported posts p2p, opens a span, spawns a non-blocking collective,
+takes an RMA lock, makes a one-sided transfer or enters another
+dispatch: the global increments would then include traffic that is
+not the dispatch's.  Dispatches nested in the measured one (a hybrid
+op's node-level collective on a single node) run straight through,
+unparked.  When every rank reports in the same timestep, any change of
+the counters between the first and the last report also taints the
+window — that covers traffic no entry point reports, such as a
+program's direct ``Machine.memory_copy``.  A tainted window caches
+nothing and counts in ``STATS["tainted"]``; after ``_UNUSABLE_LIMIT``
+windows that produced no usable record the shape runs live without
+measurement.  The default mode only caches uniform-exit records, so
+its windows are fully checked; loop mode relies on its align
+discipline to keep the longer windows of non-uniform exits clean of
+such unreported traffic.
 
 Safety — quiescence and fall-through
 ------------------------------------
@@ -60,18 +77,18 @@ payloads (real ndarrays), permuted communicators, unknown sync policies
 — falls through to normal execution, released *at the entry timestep*,
 so misses are unconditionally undistorted.
 
-``REPRO_REPLAY_VERIFY=1`` executes every hit *and* checks it against the
-record, asserting bit-identical per-rank latencies, counter deltas and
-(shift-normalized) span slices.
+``REPRO_REPLAY_VERIFY=1`` executes every hit live under a measurement
+window and compares the record it builds with the cached one field by
+field: per-rank latencies, exit order, results and profile increments
+always; counter and traffic deltas and the (shift-normalized) span
+slice when the window is clean.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import astuple
 from typing import Any, Callable
 
-from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
 from repro.mpi.profiler import OpStats
 from repro.simulator.engine import (
@@ -79,7 +96,6 @@ from repro.simulator.engine import (
     _TRIGGERED,
     ENGINE_VERSION,
     TICK,
-    DeadlockError,
     Event,
 )
 
@@ -103,22 +119,19 @@ class ReplayVerifyError(AssertionError):
 # ---------------------------------------------------------------------------
 
 #: FIFO-capped record cache shared by every job in the process (the
-#: sweep service's workers warm it across requests).  ``None`` values
-#: are negative entries: the dispatch proved unreplayable once and is
-#: not re-attempted.
-_CACHE: dict[Any, "_Record | None"] = {}
+#: sweep service's workers warm it across requests).
+_CACHE: dict[Any, "_Record"] = {}
 _CACHE_CAP = 4096
-_MISSING = object()
 
-#: Per-shape budget of recorded-but-unusable pockets: once a dispatch
-#: shape has produced this many records the session's mode could not
-#: apply, it stops recording that shape and falls through to live
-#: execution (pockets are not free; see ``ReplaySession._decide``).
+#: Per-shape budget of measurement windows that produced no usable
+#: record (tainted, or non-uniform exits in the default mode): once a
+#: dispatch shape has spent it, the session stops measuring that shape
+#: and runs it live.
 _UNUSABLE_LIMIT = 3
 
 #: Process-lifetime counters (exposed by the sweep service ``/stats``).
 STATS = {"hits": 0, "misses": 0, "records": 0, "evictions": 0,
-         "unreplayable": 0}
+         "tainted": 0}
 
 
 def cache_stats() -> dict:
@@ -132,15 +145,12 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _cache_put(key: Any, rec: "_Record | None") -> None:
+def _cache_put(key: Any, rec: "_Record") -> None:
     if len(_CACHE) >= _CACHE_CAP:
         _CACHE.pop(next(iter(_CACHE)))
         STATS["evictions"] += 1
     _CACHE[key] = rec
-    if rec is None:
-        STATS["unreplayable"] += 1
-    else:
-        STATS["records"] += 1
+    STATS["records"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +195,6 @@ def sync_signature(sync: Any):
     if type(sync) is FlagSync:
         return ("flags", sync.flag_latency)
     return None
-
-
-def _sync_from(desc):
-    from repro.core.sync import BarrierSync, FlagSync
-
-    if desc[0] == "barrier":
-        return BarrierSync()
-    return FlagSync(desc[1])
 
 
 def replay_key(prefix: tuple, op: str, sigs: tuple, offsets: tuple,
@@ -252,9 +254,9 @@ class _Record:
                  templates, events, exit_order, profiles):
         self.d_ticks = d_ticks        # per-rank duration in whole ticks
         self.results = results        # per-rank return values
-        self.counters = counters      # bulk counter deltas (see _snapshot)
+        self.counters = counters      # bulk counter deltas (see _counters)
         self.per_pair = per_pair      # {(src,dst): (d_count, d_bytes)}
-        self.max_hops = max_hops
+        self.max_hops = max_hops      # longest route in per_pair
         self.templates = templates    # span templates (t as relative ticks)
         self.events = events          # engine events one live execution costs
         self.exit_order = exit_order  # ranks in exit-event processing order
@@ -267,16 +269,47 @@ class _Record:
         return list(v) if type(v) is list else v
 
 
-def _snapshot(job):
-    """Bulk counters + per-pair traffic of *job*, for window deltas."""
+#: Record fields each rank reports for itself; verify compares them on
+#: every window.
+_RANK_FIELDS = ("d_ticks", "exit_order", "results", "profiles")
+#: Record fields taken from the whole window; verify compares them only
+#: on clean windows.  ``events`` is the record's price, not an outcome.
+_WINDOW_FIELDS = ("counters", "per_pair", "max_hops", "templates")
+
+
+def _counters(job) -> tuple:
+    """Bulk traffic counters of *job*, for window deltas."""
     net = job.machine.network.stats
-    return (
-        (job.msg_engine.sent_messages, job.msg_engine.sent_bytes,
-         job.machine.intra_copies, job.machine.intra_bytes,
-         net.messages, net.bytes, net.rendezvous_messages),
-        dict(net.per_pair),
-        net.max_hops,
-    )
+    return (job.msg_engine.sent_messages, job.msg_engine.sent_bytes,
+            job.machine.intra_copies, job.machine.intra_bytes,
+            net.messages, net.bytes, net.rendezvous_messages)
+
+
+def _per_pair_delta(end: dict, base: dict) -> dict:
+    out = {}
+    for pair, (c, b) in end.items():
+        c0, b0 = base.get(pair, (0, 0.0))
+        if c != c0 or b != b0:
+            out[pair] = (c - c0, b - b0)
+    return out
+
+
+_SPAN_DROP = ("sid", "parent", "replayed")
+
+
+def _normalize(templates: list[dict]) -> list[dict]:
+    """Span templates for comparison: span ids become slice positions."""
+    sid_pos = {}
+    out = []
+    for i, tpl in enumerate(templates):
+        d = {k: v for k, v in tpl.items() if k not in _SPAN_DROP}
+        sid = tpl.get("sid")
+        if sid is not None:
+            sid_pos[sid] = i
+            par = tpl.get("parent")
+            d["_par"] = None if par is None else sid_pos.get(par)
+        out.append(d)
+    return out
 
 
 class _Pending:
@@ -292,19 +325,37 @@ class _Pending:
 
 
 class _MeasureState:
-    """Instruments one live, aligned, quiescent execution: every rank
-    reports its duration and result; the last report hands the complete
-    measurement to :meth:`_finish` (recording or verification)."""
+    """The measurement window over one live, aligned, quiescent dispatch.
 
-    __slots__ = ("session", "op", "counters_base", "per_pair_base",
-                 "trace_base", "prof_base", "t0_ticks", "d_ticks",
-                 "results", "nranks")
+    Opens at the simultaneous release.  Every rank reports its tick
+    delta, result and profile increments when its dispatch returns; the
+    last report closes the window with the global increments (counters,
+    per-pair traffic, span slice).  At the end of that timestep the
+    window becomes a :class:`_Record`, which is cached (recording) or
+    compared field by field with *expect*, the cached record (verify).
+    """
 
-    def __init__(self, session: "ReplaySession", op: str):
+    __slots__ = ("session", "op", "key", "wkey", "expect", "nranks",
+                 "t0_ticks", "events0", "counters_base", "per_pair_base",
+                 "trace_base", "prof_base", "d_ticks", "results",
+                 "profiles", "reported_at", "counters_first", "counters",
+                 "per_pair", "templates", "tainted")
+
+    def __init__(self, session: "ReplaySession", op: str, key, wkey,
+                 expect: _Record | None):
         self.session = session
         self.op = op
+        self.key = key
+        self.wkey = wkey
+        self.expect = expect
+        self.nranks = session.world_size
         job = session.job
-        self.counters_base, self.per_pair_base, _ = _snapshot(job)
+        self.t0_ticks = round(session.engine.now * _INV_TICK)
+        # Exact here: the window opens inside a decision hook, and the
+        # engine flushes its event count before running hooks.
+        self.events0 = session.engine.event_count
+        self.counters_base = _counters(job)
+        self.per_pair_base = dict(job.machine.network.stats.per_pair)
         self.trace_base = (
             len(job.tracer.records) if job.tracer is not None else 0
         )
@@ -313,152 +364,133 @@ class _MeasureState:
              for o, s in ctx.profile.ops.items()}
             for ctx in job.contexts
         ]
-        self.t0_ticks = round(job.engine.now * _INV_TICK)
         #: Insertion order is the live exit order (reports arrive as
         #: each rank's continuation processes).
         self.d_ticks: dict[int, int] = {}
         self.results: dict[int, Any] = {}
-        self.nranks = session.world_size
+        self.profiles: dict[int, tuple] = {}
+        #: Rank -> trace length at its report (span-taint detection).
+        self.reported_at: dict[int, int] = {}
+        #: Counters at the first report (uniform-exit taint check).
+        self.counters_first: tuple | None = None
+        self.templates: list[dict] | None = None
+        self.tainted = False
+        session.window = job.msg_engine.window = self
+
+    def note(self, rank: int) -> None:
+        """*rank* acted outside the dispatch: taint the window if the
+        rank already reported (before that, it is the dispatch)."""
+        if rank in self.d_ticks:
+            self.tainted = True
 
     def report(self, rank: int, d_ticks: int, result: Any) -> None:
+        job = self.session.job
+        if not self.d_ticks:
+            self.counters_first = _counters(job)
         self.d_ticks[rank] = d_ticks
-        self.results[rank] = result
+        self.results[rank] = list(result) if type(result) is list else result
+        # Every quantity on the tick grid at benchmark magnitudes sums
+        # exactly in binary floating point, so plain deltas reproduce
+        # live accumulation bit-for-bit.
+        before = self.prof_base[rank]
+        delta = []
+        for o, s in job.contexts[rank].profile.ops.items():
+            c0, b0, t0 = before.get(o, (0, 0.0, 0.0))
+            if (s.calls, s.bytes, s.time) != (c0, b0, t0):
+                delta.append((o, s.calls - c0, s.bytes - b0, s.time - t0))
+        self.profiles[rank] = tuple(sorted(delta))
+        if job.tracer is not None:
+            self.reported_at[rank] = len(job.tracer.records)
         if len(self.d_ticks) == self.nranks:
-            self._finish()
+            self._close()
 
-    def _finish(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class _VerifyState(_MeasureState):
-    """Collects live measurements of one verified hit and compares them
-    against the record when the last rank exits."""
-
-    __slots__ = ("rec", "top")
-
-    def __init__(self, session: "ReplaySession", rec: _Record, op: str):
-        super().__init__(session, op)
-        self.rec = rec
-        #: Per-rank top-level wrapper entries, delivered by
-        #: ``Comm._collective`` via the session's ``profile_taps``.
-        self.top: dict[int, tuple] = {}
-
-    def _fail(self, what: str, recorded, live) -> None:
-        raise ReplayVerifyError(
-            f"replay verify failed for {self.op!r}: {what}: "
-            f"recorded {recorded!r} != live {live!r}"
+    def _close(self) -> None:
+        session = self.session
+        job = session.job
+        session.window = job.msg_engine.window = None
+        end = _counters(job)
+        if end != self.counters_first and len(set(self.d_ticks.values())) == 1:
+            # Every rank reported in this one timestep, so nothing the
+            # dispatch itself costs is left to post: any traffic since
+            # the first report — direct machine copies and one-sided
+            # transfers included, which bypass ``note`` — came from a
+            # rank that had already left.
+            self.tainted = True
+        self.counters = tuple(
+            a - b for a, b in zip(end, self.counters_base)
         )
+        self.per_pair = _per_pair_delta(
+            job.machine.network.stats.per_pair, self.per_pair_base
+        )
+        if job.tracer is not None:
+            self.templates = self._slice(job.tracer.records)
+        # The engine flushes its event count only between timesteps, so
+        # the record is priced — and raises verify failures raw from
+        # ``Engine.run`` rather than inside a rank — once this timestep
+        # has been processed.
+        session.engine.on_time_advance(self._finish)
+
+    def _slice(self, records: list[dict]) -> list[dict]:
+        """Span templates of the window (times as ticks relative to the
+        release).  A record logged by a rank after its report, or a
+        span left open, taints the window."""
+        reported_at = self.reported_at
+        templates = []
+        for i in range(self.trace_base, len(records)):
+            tpl = dict(records[i])
+            at = reported_at.get(tpl.get("rank"))
+            if (at is not None and i >= at) or (
+                "sid" in tpl and tpl["dur"] is None
+            ):
+                self.tainted = True
+            tpl["_tt"] = round(tpl.pop("t") * _INV_TICK) - self.t0_ticks
+            templates.append(tpl)
+        return templates
 
     def _finish(self) -> None:
-        # The enclosing ``Comm._collective`` wrapper records each rank's
-        # top-level profile entry *after* the dispatch returns, so the
-        # last reporting rank's profile delta is still incomplete here.
-        # Defer the comparison one queue turn: a zero-delay callback
-        # runs after every rank continuation has finished its
-        # synchronous segment at this timestep.  A verify failure then
-        # propagates raw from ``Engine.run`` instead of being wrapped
-        # as a rank-process crash.
-        self.session.job.engine.timeout(0.0).add_callback(
-            lambda _ev: self._compare()
+        session = self.session
+        n = self.nranks
+        topology = session.job.machine.network.topology
+        rec = _Record(
+            tuple(self.d_ticks[r] for r in range(n)),
+            tuple(self.results[r] for r in range(n)),
+            self.counters,
+            self.per_pair,
+            max((topology.hops(s, d) for s, d in self.per_pair),
+                default=0),
+            self.templates,
+            # The n release wakes are parking overhead, not dispatch.
+            session.engine.event_count - self.events0 - n,
+            tuple(self.d_ticks),
+            tuple(self.profiles[r] for r in range(n)),
         )
-
-    def _compare(self) -> None:
-        rec = self.rec
-        live_d = tuple(self.d_ticks[r] for r in range(self.nranks))
-        if live_d != rec.d_ticks:
-            self._fail("per-rank tick deltas", rec.d_ticks, live_d)
-        live_order = tuple(self.d_ticks)
-        if live_order != rec.exit_order:
-            self._fail("exit order", rec.exit_order, live_order)
-        live_res = [self.results[r] for r in range(self.nranks)]
-        if live_res != list(rec.results):
-            self._fail("results", rec.results, live_res)
-        job = self.session.job
-        counters, per_pair, _ = _snapshot(job)
-        d_counters = tuple(
-            a - b for a, b in zip(counters, self.counters_base)
-        )
-        if d_counters != rec.counters:
-            self._fail("counter deltas", rec.counters, d_counters)
-        d_pair = _per_pair_delta(per_pair, self.per_pair_base)
-        if d_pair != rec.per_pair:
-            self._fail("per-pair traffic", rec.per_pair, d_pair)
-        if job.tracer is not None and rec.templates is not None:
-            live = _normalize_spans(
-                job.tracer.records[self.trace_base:], self.t0_ticks
-            )
-            recd = _normalize_templates(rec.templates)
-            if live != recd:
-                self._fail("span slice", recd, live)
-        # Profile deltas.  The record carries only *nested* wrapped
-        # collectives; the live delta additionally contains the
-        # top-level ``Comm._collective`` entry, tapped on the way out —
-        # fold it into the expectation before comparing.
-        live_prof = []
-        expect_prof = []
-        for rank, (ctx, before) in enumerate(
-            zip(job.contexts, self.prof_base)
+        if self.tainted:
+            STATS["tainted"] += 1
+        if self.expect is not None:
+            self._verify(rec)
+        elif not self.tainted and (
+            session.loop or len(set(rec.d_ticks)) == 1
         ):
-            delta = {}
-            for o, s in ctx.profile.ops.items():
-                c0, b0, t0 = before.get(o, (0, 0.0, 0.0))
-                if (s.calls, s.bytes, s.time) != (c0, b0, t0):
-                    delta[o] = (s.calls - c0, s.bytes - b0, s.time - t0)
-            expect = {
-                o: (dc, dby, dt) for o, dc, dby, dt in rec.profiles[rank]
-            }
-            top = self.top.get(rank)
-            if top is not None:
-                o, nbytes, dt = top
-                dc, dby, dt0 = expect.get(o, (0, 0.0, 0.0))
-                expect[o] = (dc + 1, dby + nbytes, dt0 + dt)
-            live_prof.append(delta)
-            expect_prof.append(expect)
-        if live_prof != expect_prof:
-            self._fail("profile deltas", expect_prof, live_prof)
+            _cache_put(self.key, rec)
+        else:
+            session._unusable[self.wkey] = (
+                session._unusable.get(self.wkey, 0) + 1
+            )
 
-
-def _per_pair_delta(end: dict, base: dict) -> dict:
-    out = {}
-    for pair, (c, b) in end.items():
-        c0, b0 = base.get(pair, (0, 0.0))
-        if c != c0 or b != b0:
-            out[pair] = (c - c0, b - b0)
-    return out
-
-
-_SPAN_DROP = ("sid", "parent", "replayed")
-
-
-def _normalize_spans(records: list[dict], t0_ticks: int) -> list[dict]:
-    """Shift-normalize a live span slice for comparison: absolute times
-    become relative ticks, span ids become slice positions."""
-    sid_pos = {}
-    out = []
-    for i, r in enumerate(records):
-        d = {k: v for k, v in r.items() if k not in _SPAN_DROP}
-        d["_tt"] = round((d.pop("t") - t0_ticks * TICK) * _INV_TICK)
-        sid = r.get("sid")
-        if sid is not None:
-            sid_pos[sid] = i
-            par = r.get("parent")
-            d["_par"] = None if par is None else sid_pos.get(par)
-        out.append(d)
-    return out
-
-
-def _normalize_templates(templates: list[dict]) -> list[dict]:
-    sid_pos = {}
-    out = []
-    for i, tpl in enumerate(templates):
-        d = {k: v for k, v in tpl.items() if k not in _SPAN_DROP}
-        sid = tpl.get("sid")
-        if sid is not None:
-            sid_pos[sid] = i
-            par = tpl.get("parent")
-            d["_par"] = None if par is None else sid_pos.get(par)
-        out.append(d)
-    return out
+    def _verify(self, live: _Record) -> None:
+        fields = _RANK_FIELDS if self.tainted else (
+            _RANK_FIELDS + _WINDOW_FIELDS
+        )
+        for name in fields:
+            recorded = getattr(self.expect, name)
+            got = getattr(live, name)
+            if name == "templates" and recorded is not None:
+                recorded, got = _normalize(recorded), _normalize(got)
+            if recorded != got:
+                raise ReplayVerifyError(
+                    f"replay verify failed for {self.op!r}: {name}: "
+                    f"recorded {recorded!r} != live {got!r}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +519,8 @@ class ReplaySession:
         #: align-disciplined programs (the benchmark harnesses), whose
         #: ranks go straight from each collective into ``Comm.align()``.
         #: The default mode only applies uniform-exit records — an
-        #: atomic time jump with an empty window, unconditionally exact
-        #: for arbitrary programs.
+        #: atomic time jump with an empty window, exact for arbitrary
+        #: programs because their recording windows are fully checked.
         self.loop = loop
         self.world_size = job.placement.num_ranks
         self.hits = 0
@@ -500,12 +532,11 @@ class ReplaySession:
         #: RMA window states registered by ``win_allocate`` for the
         #: lock-idle quiescence check.
         self.rma_windows: list[Any] = []
+        #: The open measurement window, if any.  At most one is open: it
+        #: closes when its last rank reports, before every rank can park
+        #: at another world dispatch.
+        self.window: _MeasureState | None = None
         self._identity = tuple(range(self.world_size))
-        #: Verify-mode taps: world rank -> the :class:`_VerifyState`
-        #: awaiting that rank's enclosing ``Comm._collective`` top-level
-        #: profile entry, which the pocket (whose bodies call the
-        #: unwrapped ``_run_*`` dispatchers) never records.
-        self.profile_taps: dict[int, Any] = {}
         #: Dispatch shapes ``(op, sigs)`` that have executed live at
         #: least once in this job — replay only applies after that.
         self._warm: set[tuple] = set()
@@ -521,6 +552,13 @@ class ReplaySession:
             self._prefix = job_prefix(self.job)
         return self._prefix
 
+    def note(self, world_rank: int) -> None:
+        """*world_rank* spawns a non-blocking collective, takes an RMA
+        lock or makes a one-sided transfer: taints an open window if
+        that rank already reported."""
+        if self.window is not None:
+            self.window.note(world_rank)
+
     # -- entry ----------------------------------------------------------
     def run(self, comm, op: str, sig, inner: Callable[[], Any]):
         """Coroutine: route one dispatch through the replay layer.
@@ -529,6 +567,16 @@ class ReplaySession:
         rank's payload/shape signature (None vetoes — the decision is
         still collective, so every rank parks either way).
         """
+        window = self.window
+        if window is not None:
+            if comm._ctx.world_rank not in window.d_ticks:
+                # Nested in the measured dispatch (a hybrid op's
+                # node-level collective on a single node): part of the
+                # window, so it runs straight through, unparked, as it
+                # does with replay off.
+                result = yield from inner()
+                return result
+            window.tainted = True
         n = self.world_size
         if comm.size != n or not self._identity_group(comm):
             result = yield from inner()
@@ -555,18 +603,12 @@ class ReplaySession:
         verdict, value = yield ev
         if verdict == "done":
             return value
-        if verdict == "measure":
-            # Live execution instrumented for recording or verification.
-            t0 = eng.now
-            result = yield from inner()
-            value.report(
-                comm.rank, round((eng.now - t0) * _INV_TICK), result
-            )
-            # The enclosing wrapper's top-level profile entry (recorded
-            # after this return) belongs to the verified delta too.
-            self.profile_taps[comm._ctx.world_rank] = value
-            return result
         result = yield from inner()
+        if verdict == "measure":
+            value.report(
+                comm.rank, round(eng.now * _INV_TICK) - value.t0_ticks,
+                result,
+            )
         return result
 
     def _identity_group(self, comm) -> bool:
@@ -589,7 +631,9 @@ class ReplaySession:
             return
         self._pending.pop(pkey, None)
         sigs = tuple(pend.arrivals[r][0] for r in range(n))
-        if any(s is None for s in sigs) or not self.quiescent():
+        if (any(s is None for s in sigs) or self.window is not None
+                or not self.quiescent()):
+            # An open window here was tainted by this dispatch's entry.
             self._release(pend, "live", None)
             return
         wkey = (pend.op, sigs)
@@ -597,43 +641,45 @@ class ReplaySession:
             # First execution of this dispatch shape in the job: run it
             # live so one-off lazy setup (sub-comms, windows, caches)
             # lands in the live job exactly as it would with replay off.
-            # Records are steady-state and apply from the second
-            # occurrence on.
             self._warm.add(wkey)
-            self.misses += 1
-            STATS["misses"] += 1
-            self._release(pend, "live", None)
+            self._miss(pend)
             return
         order = tuple(pend.arrivals)
         key = replay_key(self.prefix, pend.op, sigs, (0,) * n, order)
-        rec = _CACHE.get(key, _MISSING)
-        if rec is _MISSING:
+        rec = _CACHE.get(key)
+        if rec is None:
             if self._unusable.get(wkey, 0) >= _UNUSABLE_LIMIT:
-                # This shape keeps producing records this mode cannot
-                # apply (non-uniform exits in default mode, rotating
-                # entry permutations): stop paying for pockets it will
-                # only throw away.
-                self.misses += 1
-                STATS["misses"] += 1
-                self._release(pend, "live", None)
-                return
-            rec = self._record(pend.op, sigs, key, order)
-        if rec is None or (
-            not self.loop and any(d != rec.d_ticks[0] for d in rec.d_ticks)
-        ):
-            self._unusable[wkey] = self._unusable.get(wkey, 0) + 1
-            self.misses += 1
-            STATS["misses"] += 1
-            self._release(pend, "live", None)
+                # This shape keeps producing windows this mode cannot
+                # use (taint, non-uniform exits in the default mode, a
+                # rotating entry permutation): stop measuring it.
+                self._miss(pend)
+            else:
+                self._miss(pend, _MeasureState(self, pend.op, key, wkey,
+                                               None))
+            return
+        if not self.loop and any(d != rec.d_ticks[0] for d in rec.d_ticks):
+            # A loop-mode record: its exits are not uniform.
+            self._miss(pend)
             return
         self.hits += 1
         STATS["hits"] += 1
         if self.verify:
             self._release(
-                pend, "measure", _VerifyState(self, rec, pend.op)
+                pend, "measure",
+                _MeasureState(self, pend.op, key, wkey, rec),
             )
         else:
             self._apply(rec, pend)
+
+    def _miss(self, pend: _Pending, window: _MeasureState | None = None
+              ) -> None:
+        """Run *pend* live, measured when *window* is given."""
+        self.misses += 1
+        STATS["misses"] += 1
+        if window is None:
+            self._release(pend, "live", None)
+        else:
+            self._release(pend, "measure", window)
 
     def _release(self, pend: _Pending, verdict: str, value) -> None:
         # Arrival order (dict insertion order), NOT rank order: released
@@ -667,153 +713,6 @@ class ReplaySession:
                 if stack:
                     return False
         return True
-
-    # -- recording (the pocket simulation) ------------------------------
-    def _record(self, op: str, sigs: tuple, key, order: tuple
-                ) -> _Record | None:
-        builders = _POCKET.get(op)
-        if builders is None:
-            _cache_put(key, None)
-            return None
-        setup, body = builders
-        job = self.job
-        from repro.mpi.runtime import MPIJob
-        from repro.trace import Tracer
-
-        n = self.world_size
-        state: dict[str, Any] = {"exit": {}}
-        park: dict[int, Event] = {}
-
-        def program(mpi):
-            comm = mpi.world
-            st = None
-            if setup is not None:
-                st = yield from setup(comm, sigs)
-            # Warm run: pays the pocket's one-off lazy setup (mirroring
-            # the live job's first, never-replayed execution) so the
-            # parked second run below is steady-state.
-            yield comm._shared.arrive(
-                ("replay_warm",), comm.rank, None,
-                lambda values: dict.fromkeys(values),
-            )
-            yield from body(comm, st, sigs)
-            # Park: the engine runs dry here (phase one below returns),
-            # the recorder snapshots the quiescent baseline, then wakes
-            # every rank at one timestep in the live job's arrival
-            # permutation.
-            ev = Event(mpi.engine, "replay.pocket")
-            park[comm.rank] = ev
-            yield ev
-            result = yield from body(comm, st, sigs)
-            state["exit"][comm.rank] = (mpi.engine.now, result)
-
-        trace = (
-            Tracer(detail=job.tracer.detail, compute=job.tracer.compute)
-            if job.tracer is not None else False
-        )
-        try:
-            pocket = MPIJob(
-                job.spec, program,
-                placement=job.placement,
-                payload="model",
-                tuning=job.tuning,
-                policy=job.policy,
-                trace=trace,
-                link_contention=job.link_contention,
-                seed=job.seed,
-                fast_path=job.fast_path,
-                replay=False,
-            )
-            # Phase one: setup + warm run; the engine runs dry with all
-            # ranks parked, which its deadlock detector reports — that
-            # *is* the expected phase boundary.
-            try:
-                pocket.run()
-            except DeadlockError:
-                pass
-            if len(park) != n:
-                _cache_put(key, None)
-                return None
-            # Quiescent baseline, read between engine runs so the event
-            # count is exact.
-            t0 = pocket.engine.now
-            base = _snapshot(pocket)
-            events0 = pocket.engine.event_count
-            rec0 = (
-                len(pocket.tracer.records)
-                if pocket.tracer is not None else 0
-            )
-            prof0 = [
-                {o: (s.calls, s.bytes, s.time)
-                 for o, s in ctx.profile.ops.items()}
-                for ctx in pocket.contexts
-            ]
-            # Phase two: simultaneous release in arrival order — the
-            # same entry state the live dispatch would replay from.
-            for r in order:
-                park[r].succeed(None)
-            pocket.engine.run()
-        except Exception:
-            if os.environ.get("REPRO_REPLAY_DEBUG"):
-                raise
-            _cache_put(key, None)
-            return None
-
-        exits = state["exit"]
-        if len(exits) != n:
-            _cache_put(key, None)
-            return None
-        t0_ticks = round(t0 * _INV_TICK)
-        d_ticks = tuple(
-            round(exits[r][0] * _INV_TICK) - t0_ticks for r in range(n)
-        )
-        results = [exits[r][1] for r in range(n)]
-        base_counters, base_pairs, _ = base
-        end_counters, end_pairs, end_max_hops = _snapshot(pocket)
-        counters = tuple(
-            a - b for a, b in zip(end_counters, base_counters)
-        )
-        per_pair = _per_pair_delta(end_pairs, base_pairs)
-        # The n release events above are parking overhead, not part of
-        # the dispatch.
-        events = pocket.engine.event_count - events0 - n
-
-        templates = None
-        if pocket.tracer is not None:
-            templates = []
-            sids = set()
-            for r in pocket.tracer.records[rec0:]:
-                tpl = dict(r)
-                sid = tpl.get("sid")
-                if sid is not None:
-                    if tpl.get("dur") is None:
-                        _cache_put(key, None)
-                        return None
-                    par = tpl.get("parent")
-                    if par is not None and par not in sids:
-                        _cache_put(key, None)
-                        return None
-                    sids.add(sid)
-                tpl["_tt"] = round(tpl.pop("t") * _INV_TICK) - t0_ticks
-                templates.append(tpl)
-
-        # Per-rank profiler increments.  Every quantity on the tick grid
-        # at benchmark magnitudes sums exactly in binary floating point,
-        # so plain deltas reproduce live accumulation bit-for-bit.
-        profiles = []
-        for ctx, before in zip(pocket.contexts, prof0):
-            delta = []
-            for o, s in ctx.profile.ops.items():
-                c0, b0, t0_ = before.get(o, (0, 0.0, 0.0))
-                if (s.calls, s.bytes, s.time) != (c0, b0, t0_):
-                    delta.append((o, s.calls - c0, s.bytes - b0,
-                                  s.time - t0_))
-            profiles.append(tuple(sorted(delta)))
-
-        rec = _Record(d_ticks, results, counters, per_pair, end_max_hops,
-                      templates, events, tuple(exits), tuple(profiles))
-        _cache_put(key, rec)
-        return rec
 
     # -- application ----------------------------------------------------
     def _apply(self, rec: _Record, pend: _Pending) -> None:
@@ -864,174 +763,3 @@ class ReplaySession:
             ev._state = _TRIGGERED
             ev._value = ("done", rec.result_for(rank))
             eng._push((base_ticks + rec.d_ticks[rank]) * TICK, ev)
-
-
-# ---------------------------------------------------------------------------
-# Pocket builders: reconstruct one dispatch from its signature vector
-# ---------------------------------------------------------------------------
-
-def _pl(psig):
-    """Rebuild a payload from its signature."""
-    kind = psig[0]
-    if kind == "none":
-        return None
-    if kind == "b":
-        return Bytes(psig[1])
-    return [None if s < 0 else Bytes(s) for s in psig[1]]
-
-
-def _rop(value) -> ReduceOp:
-    return ReduceOp(value)
-
-
-def _body_flat(call):
-    """Flat dispatch body: rebuild args from this rank's signature and
-    run the (unwrapped) dispatcher with a pocket-drawn tag."""
-
-    def body(comm, st, sigs):
-        result = yield from call(comm, sigs[comm.rank], comm._next_coll_tag())
-        return result
-
-    return body
-
-
-def _run(name):
-    from repro.mpi import collectives as disp
-
-    return getattr(disp, name)
-
-
-def _b_allgather(comm, sig, tag):
-    result = yield from _run("_run_allgather")(comm, _pl(sig[1]), tag)
-    return result
-
-
-def _b_allgatherv(comm, sig, tag):
-    result = yield from _run("_run_allgatherv")(
-        comm, _pl(sig[1]), tag, sig[2]
-    )
-    return result
-
-
-def _b_bcast(comm, sig, tag):
-    result = yield from _run("_run_bcast")(comm, _pl(sig[1]), sig[2], tag)
-    return result
-
-
-def _b_gather(comm, sig, tag):
-    result = yield from _run("_run_gather")(
-        comm, _pl(sig[1]), sig[2], tag, sig[3]
-    )
-    return result
-
-
-def _b_scatter(comm, sig, tag):
-    result = yield from _run("_run_scatter")(comm, _pl(sig[1]), sig[2], tag)
-    return result
-
-
-def _b_reduce(comm, sig, tag):
-    result = yield from _run("_run_reduce")(
-        comm, _pl(sig[1]), _rop(sig[2]), sig[3], tag
-    )
-    return result
-
-
-def _reduce_family(runner):
-    def b(comm, sig, tag, _runner=runner):
-        result = yield from _run(_runner)(
-            comm, _pl(sig[1]), _rop(sig[2]), tag
-        )
-        return result
-
-    return b
-
-
-def _b_barrier(comm, sig, tag):
-    result = yield from _run("_run_barrier")(comm, tag)
-    return result
-
-
-def _b_alltoall(comm, sig, tag):
-    result = yield from _run("_run_alltoall")(comm, _pl(sig[1]), tag)
-    return result
-
-
-# -- hybrid builders --------------------------------------------------------
-
-def _setup_hybrid_buf(comm, sigs):
-    """Pre-gate setup for buffer-based hybrid ops: rebuild the context
-    and the shared buffer (one-off activities, excluded from timing
-    exactly as the paper's §5 excludes them)."""
-    from repro.core.hierarchy import HybridContext
-
-    sig = sigs[comm.rank]
-    hctx = yield from HybridContext.create(
-        comm, default_sync=_sync_from(sig[2])
-    )
-    buf = yield from hctx._alloc(list(sig[1]))
-    return (hctx, buf)
-
-
-def _setup_hybrid_ctx(comm, sigs):
-    from repro.core.hierarchy import HybridContext
-
-    sig = sigs[comm.rank]
-    hctx = yield from HybridContext.create(
-        comm, default_sync=_sync_from(sig[1])
-    )
-    return hctx
-
-
-def _body_hy_allgather(comm, st, sigs):
-    from repro.core.allgather import hy_allgather
-
-    sig = sigs[comm.rank]
-    hctx, buf = st
-    yield from hy_allgather(
-        hctx, buf, sync=None, pipelined=sig[3], chunk_bytes=sig[4],
-        pack_datatypes=sig[5],
-    )
-    return None
-
-
-def _body_hy_bcast(comm, st, sigs):
-    from repro.core.bcast import hy_bcast
-
-    sig = sigs[comm.rank]
-    hctx, buf = st
-    yield from hy_bcast(hctx, buf, root=sig[3], sync=None)
-    return None
-
-
-def _body_hy_allreduce(comm, st, sigs):
-    from repro.core.reduce import hy_allreduce
-
-    sig = sigs[comm.rank]
-    result = yield from hy_allreduce(
-        st, _pl(sig[2]), sig[3], _rop(sig[4]), sync=None
-    )
-    return result
-
-
-#: op -> (pre-gate setup | None, post-gate body).
-_POCKET: dict[str, tuple[Any, Any]] = {
-    "allgather": (None, _body_flat(_b_allgather)),
-    "allgatherv": (None, _body_flat(_b_allgatherv)),
-    "bcast": (None, _body_flat(_b_bcast)),
-    "gather": (None, _body_flat(_b_gather)),
-    "gatherv": (None, _body_flat(_b_gather)),
-    "scatter": (None, _body_flat(_b_scatter)),
-    "reduce": (None, _body_flat(_b_reduce)),
-    "allreduce": (None, _body_flat(_reduce_family("_run_allreduce"))),
-    "scan": (None, _body_flat(_reduce_family("_run_scan"))),
-    "exscan": (None, _body_flat(_reduce_family("_run_exscan"))),
-    "reduce_scatter": (
-        None, _body_flat(_reduce_family("_run_reduce_scatter"))
-    ),
-    "barrier": (None, _body_flat(_b_barrier)),
-    "alltoall": (None, _body_flat(_b_alltoall)),
-    "hy_allgather": (_setup_hybrid_buf, _body_hy_allgather),
-    "hy_bcast": (_setup_hybrid_buf, _body_hy_bcast),
-    "hy_allreduce": (_setup_hybrid_ctx, _body_hy_allreduce),
-}

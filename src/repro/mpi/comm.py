@@ -431,20 +431,7 @@ class Comm:
         ctx = self._ctx
         dt = ctx.engine.now - t0
         ctx.profile.record(op, nbytes, dt)
-        sess = ctx.job.replay
-        if sess is not None and sess.profile_taps:
-            # Replay verify mode: hand the top-level entry to the
-            # pending verifier — the replay record carries only *nested*
-            # wrapped collectives (pocket bodies call the unwrapped
-            # dispatchers), so the verifier folds this entry into the
-            # expected delta.
-            state = sess.profile_taps.pop(ctx.world_rank, None)
-            if state is not None:
-                state.top[ctx.world_rank] = (op, nbytes, dt)
         return result
-
-    # Backward-compatible alias (pre-registry name).
-    _profiled = _collective
 
     def barrier(self):
         """Barrier over all member ranks (coroutine)."""

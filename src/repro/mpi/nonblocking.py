@@ -92,7 +92,9 @@ def spawn_collective(comm, op: str, gen) -> CollRequest:
     if sess is not None:
         # Replay eligibility veto: while any non-blocking collective is
         # outstanding the engine is not quiescent, so parked dispatches
-        # fall through to normal execution.
+        # fall through to normal execution; a spawn by a rank that
+        # already left a measured dispatch taints its window.
+        sess.note(ctx.world_rank)
         gen = _counted(sess, gen)
     tracer = ctx.trace
     if tracer is not None:

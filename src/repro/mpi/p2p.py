@@ -173,6 +173,9 @@ class MessageEngine:
         #: parked dispatch; the per-queue scan of pending_counts() stays
         #: for diagnostics).
         self.pending_total = 0
+        #: The replay layer's open measurement window, if any: p2p by a
+        #: rank that already left the measured dispatch taints it.
+        self.window = None
         # Hot-path caches (one attribute hop instead of three per send).
         self._eager_threshold = machine.spec.network.eager_threshold
 
@@ -199,6 +202,8 @@ class MessageEngine:
         tag: int,
     ) -> Event:
         """Post a send; returns the sender-completion event."""
+        if self.window is not None:
+            self.window.note(src_world)
         eng = self.engine
         # set by the runtime at job start
         node_of = self.machine._placement._node_of
@@ -355,6 +360,8 @@ class MessageEngine:
         buf: Any,
     ) -> Event:
         """Post a receive; the returned event's value is (payload, Status)."""
+        if self.window is not None:
+            self.window.note(dst_world)
         ev = Event(self.engine, "recv")
         self._seq += 1
         rec = _RecvRec(source, tag, buf, ev, self._seq,

@@ -83,6 +83,8 @@ class RmaWindow:
     def lock(self, target: int):
         """Coroutine: acquire the exclusive passive-target lock."""
         ctx = self.comm.ctx
+        if ctx.job.replay is not None:
+            ctx.job.replay.note(ctx.world_rank)
         if not self.comm.node_of(target) == ctx.node:
             # Request/grant round trip to the remote target.
             net = ctx.machine.network
@@ -108,6 +110,8 @@ class RmaWindow:
     # -- transfers --------------------------------------------------------
     def _transfer(self, target: int, nbytes: int, get: bool):
         ctx = self.comm.ctx
+        if ctx.job.replay is not None:
+            ctx.job.replay.note(ctx.world_rank)
         target_node = self.comm.node_of(target)
         if target_node == ctx.node:
             yield from ctx.machine.shared_touch(ctx.node, nbytes, ctx.socket)

@@ -189,8 +189,9 @@ class JobResult:
     placement: Placement | None = None
     profiles: list[CommProfile] = field(default_factory=list)
     #: Replay-cache activity (zero when replay is off): cache hits,
-    #: misses (pocket recordings), and engine events not simulated
-    #: because a record was applied instead.
+    #: misses (dispatches run live: warm-first, recording, or vetoed
+    #: because no usable record exists), and engine events not
+    #: simulated because a record was applied instead.
     replay_hits: int = 0
     replay_misses: int = 0
     replay_events_saved: int = 0

@@ -67,7 +67,7 @@ __all__ = [
 #: automatically when the semantics move.  Pure wall-clock optimizations
 #: that keep the event stream bit-identical (see docs/performance.md)
 #: do NOT bump it.
-ENGINE_VERSION = "6.0"
+ENGINE_VERSION = "6.1"
 
 #: Virtual-time grid in seconds.  All scheduled times are integer
 #: multiples of this tick; see the "Tick grid" design note above.  At
