@@ -317,24 +317,15 @@ def _abl_multileader_sweep(mode: str) -> list[dict]:
 
 def _multileader_program(mpi, nbytes_per_rank: int, leaders: int):
     from repro.mpi.collectives.hierarchical import multileader_allgather
-    from repro.mpi.collectives.registry import bridge_allgatherv
     from repro.mpi.datatypes import Bytes
 
     comm = mpi.world
     payload = Bytes(nbytes_per_rank)
-    total = nbytes_per_rank * comm.size
-
-    def select_bridge(bridge, blocks, tag):
-        result = yield from bridge_allgatherv(bridge, blocks, tag, total)
-        return result
-
     # Warm-up builds the leader hierarchy (one-off, excluded from timing).
-    yield from multileader_allgather(comm, payload, 2**27, leaders, select_bridge)
+    yield from multileader_allgather(comm, payload, 2**27, leaders)
     yield from comm.barrier()
     t0 = mpi.now
-    yield from multileader_allgather(
-        comm, payload, 2**27 + 100, leaders, select_bridge
-    )
+    yield from multileader_allgather(comm, payload, 2**27 + 100, leaders)
     return mpi.now - t0
 
 

@@ -22,6 +22,7 @@ from typing import Any
 from repro.core.placement import NodeSortedLayout
 from repro.core.shared_buffer import SharedBuffer
 from repro.core.sync import BarrierSync, SyncPolicy
+from repro.mpi import collectives as _coll
 from repro.mpi.constants import UNDEFINED
 from repro.mpi.shm import win_allocate_shared
 
@@ -233,17 +234,9 @@ class HybridContext:
         return buf
 
     # -- collective operations (delegates) --------------------------------------
-    def _replayed(self, op: str, sig, inner):
-        """Route a hybrid collective through the job's replay session.
-
-        The i-variants bypass this (they run as background processes and
-        veto replay via the non-blocking counter instead)."""
-        sess = self.comm.ctx.job.replay
-        if sess is None:
-            result = yield from inner()
-            return result
-        result = yield from sess.run(self.comm, op, sig, inner)
-        return result
+    # The blocking hybrid collectives share the collectives' replay router;
+    # the i-variants bypass it (they run as background processes and veto
+    # replay via the non-blocking counter instead).
 
     def allgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
                   pipelined: bool | None = None,
@@ -261,8 +254,8 @@ class HybridContext:
             "hyag", tuple(buf.slot_sizes), sd, pipelined, chunk_bytes,
             pack_datatypes,
         )
-        yield from self._replayed(
-            "hy_allgather", sig,
+        yield from _coll._dispatch(
+            self.comm, "hy_allgather", sig,
             lambda: hy_allgather(
                 self, buf, sync=sync, pipelined=pipelined,
                 chunk_bytes=chunk_bytes, pack_datatypes=pack_datatypes,
@@ -275,12 +268,13 @@ class HybridContext:
         from repro.core.bcast import hy_bcast
         from repro.mpi.collectives.replay import sync_signature
 
+        self.comm._check_peer(root, "root")
         sd = sync_signature(sync or self.default_sync)
         sig = None if sd is None else (
             "hybc", tuple(buf.slot_sizes), sd, root,
         )
-        yield from self._replayed(
-            "hy_bcast", sig,
+        yield from _coll._dispatch(
+            self.comm, "hy_bcast", sig,
             lambda: hy_bcast(self, buf, root=root, sync=sync),
         )
 
@@ -300,8 +294,8 @@ class HybridContext:
         sig = None if sd is None or psig is None else (
             "hyar", sd, psig, int(nbytes), rop,
         )
-        result = yield from self._replayed(
-            "hy_allreduce", sig,
+        result = yield from _coll._dispatch(
+            self.comm, "hy_allreduce", sig,
             lambda: hy_allreduce(self, contribution, nbytes, rop, sync=sync),
         )
         return result
@@ -345,6 +339,7 @@ class HybridContext:
         request before reading ``buf.node_view()``."""
         from repro.core.bcast import hy_bcast
 
+        self.comm._check_peer(root, "root")
         return self._ihy(
             "hy_ibcast", buf.total_nbytes,
             hy_bcast(self, buf, root=root, sync=sync),

@@ -21,12 +21,10 @@ from repro.mpi.collectives import registry
 from repro.mpi.collectives.registry import (
     CollRequest,
     _vector_overhead,
-    bridge_allgatherv as _bridge_allgatherv,
     policy_of,
     trace_begin,
     trace_end,
 )
-from repro.mpi.collectives.barrier import barrier_shm_flags as _shm_barrier
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import nbytes_of
 
@@ -99,20 +97,16 @@ def _agree_total(comm, nbytes: int, tag: int):
     return results[comm.rank]
 
 
-def _run_allgatherv(comm, payload: Any, tag: int,
-                        total: int | None = None):
+def _run_allgatherv(comm, payload: Any, tag: int, total: int):
     """Irregular allgather; returns the per-rank payload list.
 
-    *total* is the agreed full result size; when None (direct callers)
-    the size-agreement gate runs here.  :meth:`Comm.allgatherv` runs the
-    gate itself so the profiler can charge the actual summed bytes, and
-    passes the result through."""
+    *total* is the agreed full result size: :meth:`Comm.allgatherv` runs
+    the size-agreement gate (:func:`_agree_total`) itself so the
+    profiler can charge the actual summed bytes."""
     yield from _overhead(comm)
     yield from _vector_overhead(comm, comm.size)
     if comm.size == 1:
         return [payload]
-    if total is None:
-        total = yield from _agree_total(comm, nbytes_of(payload), tag)
     algo, span = _select(
         comm, CollRequest(op="allgatherv", nbytes=nbytes_of(payload),
                           total=total)
@@ -316,7 +310,8 @@ def _run_alltoall(comm, payloads: list[Any], tag: int):
 # simultaneously on a quiescent engine — are replayed from the record
 # cache in O(nranks) instead of simulated.  Everything else (no session,
 # sub-communicators, staggered entries, non-replayable payloads) runs
-# the body unchanged.
+# the body unchanged.  :func:`_dispatch` is the only router: the hybrid
+# collectives of :class:`repro.core.HybridContext` go through it too.
 
 from repro.mpi.collectives.replay import (  # noqa: E402
     payload_signature as _psig,
@@ -324,6 +319,8 @@ from repro.mpi.collectives.replay import (  # noqa: E402
 
 
 def _dispatch(comm, op, sig, inner):
+    """Run the body ``inner()`` of one *op* call on *comm*, through the
+    job's replay session when there is one (*sig* keys its cache)."""
     sess = comm.ctx.job.replay
     if sess is None:
         result = yield from inner()
@@ -347,8 +344,7 @@ def dispatch_allgather(comm, payload: Any, tag: int):
     return result
 
 
-def dispatch_allgatherv(comm, payload: Any, tag: int,
-                        total: int | None = None):
+def dispatch_allgatherv(comm, payload: Any, tag: int, total: int):
     """Replay-aware :func:`_run_allgatherv`."""
     result = yield from _dispatch(
         comm, "allgatherv", _sig("agv", _psig(payload), total),

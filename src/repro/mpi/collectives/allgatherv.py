@@ -1,4 +1,8 @@
-"""Irregular allgather (MPI_Allgatherv) algorithms: Bruck-v and ring-v.
+"""Irregular allgather (MPI_Allgatherv): the gather+broadcast variant.
+
+The Bruck-v and ring-v exchanges are the flat allgathers of
+:mod:`repro.mpi.collectives.allgather` — their blocks keep per-rank
+sizes — registered under the ``allgatherv`` operation.
 
 Unlike ``MPI_Allgather``, real allgatherv implementations never use
 recursive doubling (the per-rank counts break its index arithmetic), and
@@ -14,22 +18,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.mpi.collectives.allgather import allgather_bruck, allgather_ring
 from repro.mpi.collectives.blocks import BlockSet
 
-__all__ = ["allgatherv_bruck", "allgatherv_ring", "allgatherv_gather_bcast"]
-
-
-def allgatherv_bruck(comm, payload: Any, tag: int):
-    """Bruck exchange with per-rank block sizes (small total sizes)."""
-    result = yield from allgather_bruck(comm, payload, tag)
-    return result
-
-
-def allgatherv_ring(comm, payload: Any, tag: int):
-    """Ring exchange with per-rank block sizes (large total sizes)."""
-    result = yield from allgather_ring(comm, payload, tag)
-    return result
+__all__ = ["allgatherv_gather_bcast"]
 
 
 def allgatherv_gather_bcast(comm, payload: Any, tag: int, root: int = 0):

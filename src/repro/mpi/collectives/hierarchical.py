@@ -111,41 +111,60 @@ def _by_socket_map(comm) -> dict[tuple[int, int], list[int]]:
     return by_sock
 
 
+#: Flat candidates of the inter-leader ("bridge") stages.  Node
+#: aggregates have equal size only for regular ppn, so the allgather
+#: bridge always runs a v-variant (paper §4.1).
+_BRIDGE_ALLGATHERV = ("bruck_v", "ring_v")
+_BRIDGE_BCAST = ("binomial", "scatter_allgather", "pipeline")
+_BRIDGE_ALLREDUCE = ("recursive_doubling", "rabenseifner", "ring")
+
+
+def _stage_algo(comm, op: str, nbytes: int, total: int, candidates,
+                root: int | None = None):
+    """The algorithm one stage of a composite collective runs on *comm*.
+
+    Routed through the rank's selection policy over the registry, with
+    the candidate set restricted to the stage-appropriate algorithms.
+    Stages size their request from the top-level call, so every rank of
+    the stage communicator picks the same algorithm.  Imported lazily:
+    the registry imports this module at load time."""
+    from repro.mpi.collectives.registry import CollRequest, policy_of
+
+    req = CollRequest(op=op, nbytes=nbytes, total=total, root=root)
+    return policy_of(comm).select(comm, req, candidates=candidates).fn
+
+
 def _select_shm_bcast(shm, nbytes: int):
     """Size-appropriate on-node broadcast (binomial vs scatter+allgather).
 
     Real SMP-aware collectives switch algorithms for the fan-out stage
     just as for top-level broadcasts; without this the baseline would
     move n*log(ppn) bytes through node memory for large results and the
-    comparison against the hybrid approach would be a strawman.
-
-    Routed through the rank's selection policy over the registry, with
-    the candidate set restricted to the stage-appropriate algorithms
-    (no pipelining across shared memory).  Imported lazily: the registry
-    imports this module at load time."""
-    from repro.mpi.collectives.registry import CollRequest, policy_of
-
-    req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=0)
-    algo = policy_of(shm).select(
-        shm, req, candidates=("binomial", "scatter_allgather")
-    )
-    return algo.fn
+    comparison against the hybrid approach would be a strawman.  No
+    pipelining across shared memory."""
+    return _stage_algo(shm, "bcast", nbytes, nbytes,
+                       ("binomial", "scatter_allgather"), root=0)
 
 
-def hier_allgather(comm, payload: Any, tag: int, select_bridge,
+def hier_allgather(comm, payload: Any, tag: int,
                    total_nbytes: int | None = None) -> Any:
     """Leader-based allgather (paper Fig 3a).  Coroutine.
 
-    ``select_bridge(bridge_comm, payload)`` picks the flat algorithm used
-    for the inter-leader exchange (always a *v*-variant when per-node
-    totals differ).  ``total_nbytes`` (the full result size, which MPI
-    programs know from their recvcounts) drives the algorithm choice of
-    the on-node fan-out stage.  Returns the full :class:`BlockSet` keyed
-    by parent comm ranks.
+    ``total_nbytes`` (the full result size, which MPI programs know from
+    their recvcounts; default: this rank's size times the comm size)
+    drives the algorithm choice of the inter-leader exchange (a flat
+    *v*-variant) and of the on-node fan-out stage.  Returns the full
+    :class:`BlockSet` keyed by parent comm ranks.
     """
     from repro.mpi.collectives.gather import gather_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
+    from repro.mpi.collectives.registry import (
+        _vector_overhead,
+        phase_begin,
+        phase_end,
+    )
 
+    if total_nbytes is None:
+        total_nbytes = nbytes_of(payload) * comm.size
     shm, bridge = yield from hier_comms(comm)
     # Stage 1: gather blocks at the node leader (shared-memory p2p).
     ph = phase_begin(comm, "on_node_gather", nbytes_of(payload))
@@ -163,7 +182,12 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
     # Stage 2: leaders exchange aggregated node blocks.
     if bridge is not None and bridge.size > 1:
         ph = phase_begin(comm, "bridge_exchange", node_blocks.nbytes)
-        exchanged = yield from select_bridge(bridge, node_blocks, tag)
+        exchange = _stage_algo(bridge, "allgatherv",
+                               total_nbytes // bridge.size, total_nbytes,
+                               _BRIDGE_ALLGATHERV)
+        yield from _vector_overhead(bridge, bridge.size)
+        exchanged = yield from exchange(bridge, node_blocks, tag,
+                                        total_nbytes)
         phase_end(comm, ph)
         full = BlockSet()
         for node_set in exchanged.blocks.values():
@@ -173,8 +197,6 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
     else:
         full = None
     # Stage 3: leader broadcasts the complete result on-node.
-    if total_nbytes is None:
-        total_nbytes = nbytes_of(payload) * comm.size
     shm_bcast = _select_shm_bcast(shm, total_nbytes)
     ph = phase_begin(comm, "on_node_bcast", total_nbytes)
     full = yield from shm_bcast(shm, full, 0, tag + 1)
@@ -182,14 +204,15 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
     return full
 
 
-def hier_bcast(comm, payload: Any, root: int, tag: int, bridge_bcast) -> Any:
+def hier_bcast(comm, payload: Any, root: int, tag: int) -> Any:
     """Leader-based broadcast: root → its leader → all leaders → children.
 
-    ``bridge_bcast(bridge, payload, root_bridge_rank, tag)`` is the flat
-    algorithm for the inter-leader stage.
+    The inter-leader stage runs the flat broadcast the policy picks for
+    the top-level message size.
     """
     from repro.mpi.collectives.registry import phase_begin, phase_end
 
+    nbytes = nbytes_of(payload)
     shm, bridge = yield from hier_comms(comm)
     placement = comm.ctx.placement
     root_world = comm.world_rank_of(root)
@@ -215,7 +238,10 @@ def hier_bcast(comm, payload: Any, root: int, tag: int, bridge_bcast) -> Any:
             if placement.node_of(w) == root_node
         )
         ph = phase_begin(comm, "bridge_exchange", nbytes_of(payload))
-        payload = yield from bridge_bcast(bridge, payload, root_bridge_rank, tag)
+        flat_bcast = _stage_algo(bridge, "bcast", nbytes, nbytes,
+                                 _BRIDGE_BCAST, root=root_bridge_rank)
+        payload = yield from flat_bcast(bridge, payload, root_bridge_rank,
+                                        tag)
         phase_end(comm, ph)
     # Stage 2: on-node broadcast from the leader (size known locally:
     # every rank passed a same-sized buffer, as MPI_Bcast requires).
@@ -275,29 +301,32 @@ def hier_reduce(comm, payload: Any, op, root: int, tag: int):
     return None
 
 
-def hier_allreduce(comm, payload: Any, op, tag: int, bridge_allreduce):
+def hier_allreduce(comm, payload: Any, op, tag: int):
     """Leader-based allreduce: on-node reduce → bridge allreduce →
-    on-node broadcast."""
+    on-node broadcast (stage algorithms sized by the top-level call)."""
     from repro.mpi.collectives.reduce import reduce_binomial
     from repro.mpi.collectives.registry import phase_begin, phase_end
 
+    nbytes = nbytes_of(payload)
     shm, bridge = yield from hier_comms(comm)
-    ph = phase_begin(comm, "on_node_reduce", nbytes_of(payload))
+    ph = phase_begin(comm, "on_node_reduce", nbytes)
     partial = yield from reduce_binomial(shm, payload, op, 0, tag)
     phase_end(comm, ph)
     if bridge is not None and bridge.size > 1:
         ph = phase_begin(comm, "bridge_exchange", nbytes_of(partial))
-        partial = yield from bridge_allreduce(bridge, partial, op, tag)
+        flat_allreduce = _stage_algo(bridge, "allreduce", nbytes, nbytes,
+                                     _BRIDGE_ALLREDUCE)
+        partial = yield from flat_allreduce(bridge, partial, op, tag)
         phase_end(comm, ph)
-    shm_bcast = _select_shm_bcast(shm, nbytes_of(payload))
-    ph = phase_begin(comm, "on_node_bcast", nbytes_of(payload))
+    shm_bcast = _select_shm_bcast(shm, nbytes)
+    ph = phase_begin(comm, "on_node_bcast", nbytes)
     result = yield from shm_bcast(shm, partial, 0, tag + 1)
     phase_end(comm, ph)
     return result
 
 
-def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
-                          select_bridge):
+def multileader_allgather(comm, payload: Any, tag: int,
+                          leaders_per_node: int):
     """Multi-leader allgather (ablation; Kandalla et al. 2009).
 
     The node's ranks are split round-robin over ``k`` leaders; each leader
@@ -306,8 +335,15 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     """
     from repro.mpi.collectives.allgather import allgather_ring
     from repro.mpi.collectives.gather import gather_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
+    from repro.mpi.collectives.registry import (
+        _vector_overhead,
+        phase_begin,
+        phase_end,
+    )
 
+    # Every rank derives the full result size from its own block, as
+    # MPI's recvcounts make possible in the real code.
+    total = nbytes_of(payload) * comm.size
     cache = comm.hier_cache
     key = f"ml{leaders_per_node}"
     if key not in cache:
@@ -357,7 +393,10 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     # Stage 2: each leader exchanges on its own bridge.
     if bridge is not None and bridge.size > 1:
         ph = phase_begin(comm, "bridge_exchange", slice_blocks.nbytes)
-        exchanged = yield from select_bridge(bridge, slice_blocks, tag)
+        exchange = _stage_algo(bridge, "allgatherv", total // bridge.size,
+                               total, _BRIDGE_ALLGATHERV)
+        yield from _vector_overhead(bridge, bridge.size)
+        exchanged = yield from exchange(bridge, slice_blocks, tag, total)
         phase_end(comm, ph)
         part = BlockSet()
         for node_set in exchanged.blocks.values():
@@ -375,9 +414,6 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
         for piece in shared.blocks.values():
             part.merge(piece)
     # Stage 4: each leader broadcasts the full result to its slice.
-    # (Children derive the same size from their own block, as MPI's
-    # recvcounts make possible in the real code.)
-    total = nbytes_of(payload) * comm.size
     shm_bcast = _select_shm_bcast(slice_comm, total)
     ph = phase_begin(comm, "on_node_bcast", total)
     full = yield from shm_bcast(slice_comm, part, 0, tag + 2)
@@ -385,7 +421,7 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     return full
 
 
-def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
+def smp_3level_allgather(comm, payload: Any, tag: int,
                          total_nbytes: int | None = None) -> Any:
     """Three-level leader-based allgather for multi-socket nodes.
 
@@ -402,8 +438,14 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
     critical-path decomposition can attribute cross-socket time.
     """
     from repro.mpi.collectives.gather import gather_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
+    from repro.mpi.collectives.registry import (
+        _vector_overhead,
+        phase_begin,
+        phase_end,
+    )
 
+    if total_nbytes is None:
+        total_nbytes = nbytes_of(payload) * comm.size
     cache = comm.hier_cache
     if "s3l" not in cache:
         _shm, bridge = yield from hier_comms(comm)
@@ -462,15 +504,18 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
         if bridge.size > 1:
             ph = phase_begin(comm, "bridge_exchange", node_blocks.nbytes,
                              level="bridge")
-            exchanged = yield from select_bridge(bridge, node_blocks, tag + 2)
+            exchange = _stage_algo(bridge, "allgatherv",
+                                   total_nbytes // bridge.size, total_nbytes,
+                                   _BRIDGE_ALLGATHERV)
+            yield from _vector_overhead(bridge, bridge.size)
+            exchanged = yield from exchange(bridge, node_blocks, tag + 2,
+                                            total_nbytes)
             phase_end(comm, ph)
             full = BlockSet()
             for node_set in exchanged.blocks.values():
                 full.merge(node_set)
         else:
             full = node_blocks
-    if total_nbytes is None:
-        total_nbytes = nbytes_of(payload) * comm.size
     # Stage 4: node leader broadcasts the result to its socket leaders.
     if sleaders is not None and sleaders.size > 1:
         shm_bcast = _select_shm_bcast(sleaders, total_nbytes)

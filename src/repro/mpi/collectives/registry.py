@@ -46,6 +46,11 @@ barrier             ``fn(comm, tag)``
 hy_*                not runnable here — executed by ``repro.core``
 ==================  ====================================================
 
+``fn`` is the algorithm itself — flat algorithms and the hierarchical
+stage functions alike — except where it needs a tuning value or another
+argument order (the ``_run_*`` runners).  Composite algorithms pick
+their stage algorithms through the registry themselves.
+
 Cost estimators are *estimates*: simple Hockney (α-β) critical-path
 formulas over the communicator's dominant transport.  They exist to
 rank candidates, not to predict the simulator's exact charge.
@@ -62,11 +67,7 @@ from repro.mpi.collectives.allgather import (
     allgather_recursive_doubling,
     allgather_ring,
 )
-from repro.mpi.collectives.allgatherv import (
-    allgatherv_bruck,
-    allgatherv_gather_bcast,
-    allgatherv_ring,
-)
+from repro.mpi.collectives.allgatherv import allgatherv_gather_bcast
 from repro.mpi.collectives.alltoall import alltoall_bruck, alltoall_pairwise
 from repro.mpi.collectives.barrier import (
     barrier_dissemination,
@@ -95,7 +96,6 @@ from repro.mpi.collectives.reduce_scatter import (
     reduce_scatter_pairwise,
 )
 from repro.mpi.collectives.scan_ops import exscan_binomial, scan_binomial
-from repro.mpi.datatypes import nbytes_of
 from repro.mpi.errors import MPIError
 
 __all__ = [
@@ -113,12 +113,10 @@ __all__ = [
     "ForcedSelection",
     "resolve_policy",
     "policy_of",
-    "trace_event",
     "trace_begin",
     "trace_end",
     "phase_begin",
     "phase_end",
-    "bridge_allgatherv",
     "ENV_POLICY",
     "ENV_OP_PREFIX",
 ]
@@ -524,17 +522,6 @@ def _dispatch_record(comm, op: str, algo: str, nbytes: int,
     return rec
 
 
-def trace_event(comm, op: str, algo: str, nbytes: int,
-                policy: str | None = None) -> None:
-    """Record one dispatch decision as an instant event (when enabled).
-
-    Kept for backward compatibility; the dispatch layer now records
-    duration spans via :func:`trace_begin`/:func:`trace_end`."""
-    tracer = comm.ctx.trace
-    if tracer is not None:
-        tracer.append(_dispatch_record(comm, op, algo, nbytes, policy))
-
-
 def trace_begin(comm, op: str, algo: str, nbytes: int,
                 policy: str | None = None) -> dict | None:
     """Open the dispatch span of one collective call (when enabled).
@@ -584,108 +571,29 @@ def phase_begin(
 phase_end = trace_end
 
 
-# ---------------------------------------------------------------------------
-# Stage helpers used by composite (hierarchical / hybrid) algorithms
-# ---------------------------------------------------------------------------
-
 def _vector_overhead(comm, blocks: int):
+    """Coroutine: the recvcounts/displacements bookkeeping of a
+    v-collective over *blocks* ranks (charged by dispatchers and by the
+    hierarchical bridge stages)."""
     tuning = comm.ctx.tuning
     cost = tuning.vector_block_overhead * blocks
     if cost > 0:
         yield comm.ctx.engine.timeout(cost)
 
 
-def bridge_allgatherv(bridge, node_blocks, tag: int, total: int):
-    """Coroutine: inter-leader exchange used inside hierarchical
-    allgathers — a flat v-variant selected by the bridge's policy.
-
-    Node aggregates have equal size only for regular ppn; the v-variant
-    is required in general (paper §4.1)."""
-    req = CollRequest(op="allgatherv", nbytes=total // max(bridge.size, 1),
-                      total=total)
-    algo = policy_of(bridge).select(
-        bridge, req, candidates=("bruck_v", "ring_v")
-    )
-    yield from _vector_overhead(bridge, bridge.size)
-    result = yield from algo.fn(bridge, node_blocks, tag, total)
-    return result
-
-
-def _bridge_bcast(bridge, payload, root: int, tag: int, nbytes: int):
-    """Coroutine: inter-leader broadcast stage (flat algorithm chosen by
-    the bridge's policy from the top-level message size)."""
-    req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=root)
-    algo = policy_of(bridge).select(
-        bridge, req,
-        candidates=("binomial", "scatter_allgather", "pipeline"),
-    )
-    result = yield from algo.fn(bridge, payload, root, tag)
-    return result
-
-
-def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
-    """Coroutine: inter-leader allreduce stage (flat algorithm chosen by
-    the bridge's policy from the top-level message size)."""
-    req = CollRequest(op="allreduce", nbytes=nbytes, total=nbytes)
-    algo = policy_of(bridge).select(
-        bridge, req,
-        candidates=("recursive_doubling", "rabenseifner", "ring"),
-    )
-    result = yield from algo.fn(bridge, payload, op, tag)
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Runners: adapt algorithms to the per-op descriptor conventions
+# Runners: algorithms that need a tuning value or another argument order
+# than the per-op convention, and the barrier compositions
 # ---------------------------------------------------------------------------
-
-def _ignore_total(algo):
-    """Adapt a flat ``fn(comm, payload, tag)`` allgather to the
-    ``fn(comm, payload, tag, total)`` registry convention."""
-
-    def run(comm, payload, tag, total):
-        result = yield from algo(comm, payload, tag)
-        return result
-
-    return run
-
 
 def _run_gather_bcast_v(comm, payload, tag, total):
     result = yield from allgatherv_gather_bcast(comm, payload, tag)
     return result
 
 
-def _run_smp_allgather(comm, payload, tag, total):
-    def bridge_xchg(bridge, node_blocks, btag):
-        result = yield from bridge_allgatherv(bridge, node_blocks, btag, total)
-        return result
-
-    full = yield from hier.hier_allgather(
-        comm, payload, tag, bridge_xchg, total_nbytes=total
-    )
-    return full
-
-
-def _run_smp3_allgather(comm, payload, tag, total):
-    def bridge_xchg(bridge, node_blocks, btag):
-        result = yield from bridge_allgatherv(bridge, node_blocks, btag, total)
-        return result
-
-    full = yield from hier.smp_3level_allgather(
-        comm, payload, tag, bridge_xchg, total_nbytes=total
-    )
-    return full
-
-
 def _run_multileader_allgather(comm, payload, tag, total):
-    k = max(1, comm.ctx.tuning.multileader_k)
-
-    def bridge_xchg(bridge, node_blocks, btag):
-        result = yield from bridge_allgatherv(bridge, node_blocks, btag, total)
-        return result
-
     full = yield from hier.multileader_allgather(
-        comm, payload, tag, k, bridge_xchg
+        comm, payload, tag, max(1, comm.ctx.tuning.multileader_k)
     )
     return full
 
@@ -695,37 +603,6 @@ def _run_bcast_pipeline(comm, payload, root, tag):
         comm, payload, root, tag, comm.ctx.tuning.bcast_pipeline_chunk
     )
     return result
-
-
-def _run_smp_bcast(comm, payload, root, tag):
-    nbytes = nbytes_of(payload)
-
-    def bridge_bc(bridge, p, broot, btag):
-        result = yield from _bridge_bcast(bridge, p, broot, btag, nbytes)
-        return result
-
-    result = yield from hier.hier_bcast(comm, payload, root, tag, bridge_bc)
-    return result
-
-
-def _run_smp_reduce(comm, payload, op, root, tag):
-    result = yield from hier.hier_reduce(comm, payload, op, root, tag)
-    return result
-
-
-def _run_smp_allreduce(comm, payload, op, tag):
-    nbytes = nbytes_of(payload)
-
-    def bridge_ar(bridge, p, o, btag):
-        result = yield from _bridge_allreduce(bridge, p, o, btag, nbytes)
-        return result
-
-    result = yield from hier.hier_allreduce(comm, payload, op, tag, bridge_ar)
-    return result
-
-
-def _run_barrier_shm_flags(comm, tag):
-    yield from barrier_shm_flags(comm, tag)
 
 
 def _run_barrier_smp(comm, tag):
@@ -836,29 +713,31 @@ def _reg(op, name, fn, applicable=_always, kind="flat"):
 
 
 # allgather family ----------------------------------------------------------
-_reg("allgather", "recursive_doubling",
-     _ignore_total(allgather_recursive_doubling),
+_reg("allgather", "recursive_doubling", allgather_recursive_doubling,
      applicable=_pof2_only)
-_reg("allgather", "bruck", _ignore_total(allgather_bruck))
-_reg("allgather", "ring", _ignore_total(allgather_ring))
-_reg("allgather", "smp_hierarchical", _run_smp_allgather,
+_reg("allgather", "bruck", allgather_bruck)
+_reg("allgather", "ring", allgather_ring)
+_reg("allgather", "smp_hierarchical", hier.hier_allgather,
      applicable=_hier_only, kind="hierarchical")
 _reg("allgather", "multileader", _run_multileader_allgather,
      applicable=_hier_only, kind="hierarchical")
-_reg("allgather", "smp_3level", _run_smp3_allgather,
+_reg("allgather", "smp_3level", hier.smp_3level_allgather,
      applicable=_socket_hier_only, kind="hierarchical")
 
-_reg("allgatherv", "bruck_v", _ignore_total(allgatherv_bruck))
-_reg("allgatherv", "ring_v", _ignore_total(allgatherv_ring))
+# The flat exchanges carry per-rank block sizes, so they serve the
+# irregular variant unchanged (the dispatcher charges the vector
+# bookkeeping).
+_reg("allgatherv", "bruck_v", allgather_bruck)
+_reg("allgatherv", "ring_v", allgather_ring)
 _reg("allgatherv", "gather_bcast", _run_gather_bcast_v)
-_reg("allgatherv", "smp_hierarchical", _run_smp_allgather,
+_reg("allgatherv", "smp_hierarchical", hier.hier_allgather,
      applicable=_hier_only, kind="hierarchical")
 
 # bcast ---------------------------------------------------------------------
 _reg("bcast", "binomial", bcast_binomial)
 _reg("bcast", "scatter_allgather", bcast_scatter_allgather)
 _reg("bcast", "pipeline", _run_bcast_pipeline)
-_reg("bcast", "smp_hierarchical", _run_smp_bcast,
+_reg("bcast", "smp_hierarchical", hier.hier_bcast,
      applicable=_hier_only, kind="hierarchical")
 
 # gather / scatter ----------------------------------------------------------
@@ -871,14 +750,14 @@ _reg("scatter", "linear", scatter_linear)
 
 # reductions ----------------------------------------------------------------
 _reg("reduce", "binomial", reduce_binomial)
-_reg("reduce", "smp_hierarchical", _run_smp_reduce,
+_reg("reduce", "smp_hierarchical", hier.hier_reduce,
      applicable=_hier_only, kind="hierarchical")
 
 _reg("allreduce", "recursive_doubling", allreduce_recursive_doubling)
 _reg("allreduce", "rabenseifner", allreduce_rabenseifner,
      applicable=_pof2_only)
 _reg("allreduce", "ring", allreduce_ring)
-_reg("allreduce", "smp_hierarchical", _run_smp_allreduce,
+_reg("allreduce", "smp_hierarchical", hier.hier_allreduce,
      applicable=_hier_only, kind="hierarchical")
 
 _reg("reduce_scatter", "recursive_halving", reduce_scatter_halving,
@@ -894,7 +773,7 @@ _reg("alltoall", "bruck", alltoall_bruck)
 _reg("alltoall", "pairwise", alltoall_pairwise)
 
 # barrier -------------------------------------------------------------------
-_reg("barrier", "shm_flags", _run_barrier_shm_flags,
+_reg("barrier", "shm_flags", barrier_shm_flags,
      applicable=_shm_only)
 _reg("barrier", "smp_hierarchical", _run_barrier_smp,
      applicable=_hier_only, kind="hierarchical")

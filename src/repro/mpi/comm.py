@@ -468,6 +468,7 @@ class Comm:
         """Broadcast from *root*; returns the payload on every rank."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         return (
             yield from self._collective(
                 "bcast", nbytes_of(payload),
@@ -481,6 +482,7 @@ class Comm:
         """Gather to *root*; returns list of payloads (None elsewhere)."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         return (
             yield from self._collective(
                 "gather", nbytes_of(payload),
@@ -494,6 +496,7 @@ class Comm:
         """Irregular gather to *root* (per-rank sizes may differ)."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         return (
             yield from self._collective(
                 "gatherv", nbytes_of(payload),
@@ -508,6 +511,7 @@ class Comm:
         """Scatter list *payloads* (significant at root); returns own part."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         nbytes = (
             sum(nbytes_of(p) for p in payloads) if payloads is not None else 0
         )
@@ -559,6 +563,7 @@ class Comm:
         """Reduce to *root*; returns the reduction there, None elsewhere."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         return (
             yield from self._collective(
                 "reduce", nbytes_of(payload),
@@ -659,6 +664,7 @@ class Comm:
         """Non-blocking broadcast; request value is the payload."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         return self._icoll(
             "ibcast", nbytes_of(payload),
             _coll.dispatch_bcast(self, payload, root, self._next_coll_tag()),
@@ -703,6 +709,7 @@ class Comm:
         (None elsewhere)."""
         from repro.mpi.datatypes import nbytes_of
 
+        self._check_peer(root, "root")
         return self._icoll(
             "ireduce", nbytes_of(payload),
             _coll.dispatch_reduce(
@@ -794,10 +801,10 @@ class Comm:
         return Comm(shared, self._ctx)
 
     # -- internals ------------------------------------------------------------
-    def _check_peer(self, peer: int) -> None:
+    def _check_peer(self, peer: int, role: str = "peer") -> None:
         if not 0 <= peer < self.size:
             raise MPIError(
-                f"peer rank {peer} out of range for {self.name!r} "
+                f"{role} rank {peer} out of range for {self.name!r} "
                 f"(size {self.size})"
             )
 

@@ -724,65 +724,6 @@ class Engine:
             fn()
 
     # -- run loop ----------------------------------------------------------
-    def step(self) -> None:
-        """Process one scheduled event (or deferred call).
-
-        Pops the globally next ``(time, seq)`` entry, advancing ``now``.
-        Deferred entries are all at the current time; a heap entry due
-        now was scheduled before any of them (time could not have
-        advanced otherwise) and therefore precedes them.  Cancelled
-        entries are discarded unprocessed (and uncounted) on the way.
-        """
-        while True:
-            deferred = self._deferred
-            if deferred:
-                heap = self._heap
-                if heap and heap[0][0] <= self.now:
-                    entry = heapq.heappop(heap)
-                    self.now = entry[0]
-                    item = entry[2]
-                else:
-                    item = deferred.popleft()
-            else:
-                heap = self._heap
-                if (
-                    self._advance_hooks
-                    and (not heap or heap[0][0] > self.now)
-                ):
-                    self._run_advance_hooks()
-                    continue
-                time, _seq, item = heapq.heappop(heap)
-                if time < self.now:  # pragma: no cover - defensive
-                    raise SimulationError("time went backwards")
-                self.now = time
-            if isinstance(item, Event) and item._state == _CANCELLED:
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            break
-        self._event_count += 1
-        # Plain events are processed inline (the _process body), sparing a
-        # call per event; Process overrides _process, so subclasses take
-        # the virtual dispatch.
-        if type(item) is Event:
-            item._state = _PROCESSED
-            callbacks = item.callbacks
-            item.callbacks = None
-            if callbacks:
-                for fn in callbacks:
-                    fn(item)
-            if item._poolable:
-                self._pause_pool.append(item)
-        elif isinstance(item, Event):
-            item._process()
-        else:
-            item()
-        if self._unhandled:
-            proc, exc = self._unhandled[0]
-            raise SimulationError(
-                f"unhandled exception in process {proc.name!r}"
-            ) from exc
-
     def run(self, until: float | None = None) -> None:
         """Run until the event queue drains (or virtual time *until*).
 
@@ -793,10 +734,11 @@ class Engine:
         SimulationError
             If a process with no waiter raises an exception.
         """
-        # Fully fused event loop: the bodies of step() and Event._process
-        # are inlined and ``now``/``event_count`` are carried in locals —
-        # per-event attribute traffic is what dominates at paper scale.
-        # step() remains the semantic reference for one iteration.
+        # Fully fused event loop: each iteration pops the globally next
+        # ``(time, seq)`` entry and processes it with Event._process
+        # inlined; cancelled entries are discarded uncounted.  ``now`` and
+        # ``event_count`` are carried in locals — per-event attribute
+        # traffic is what dominates at paper scale.
         deferred = self._deferred
         heap = self._heap
         pool = self._pause_pool

@@ -7,7 +7,6 @@ import pytest
 
 from repro.machine import Placement
 from repro.mpi import Bytes
-from repro.mpi.collectives import _bridge_allgatherv
 from repro.mpi.collectives.hierarchical import (
     hier_allgather,
     hier_bcast,
@@ -18,12 +17,6 @@ from repro.mpi.constants import ReduceOp
 from tests.helpers import returns_of
 
 TAG = 2**28 + 77
-
-
-def _bridge(bridge, blocks, tag):
-    total = blocks.nbytes * bridge.size if blocks is not None else 0
-    result = yield from _bridge_allgatherv(bridge, blocks, tag, total)
-    return result
 
 
 class TestHierComms:
@@ -53,7 +46,7 @@ class TestHierAllgather:
         def prog(mpi):
             comm = mpi.world
             full = yield from hier_allgather(
-                comm, np.array([float(comm.rank)]), TAG, _bridge
+                comm, np.array([float(comm.rank)]), TAG
             )
             return [
                 float(np.asarray(b)[0]) for b in full.as_list(comm.size)
@@ -69,7 +62,7 @@ class TestHierAllgather:
         def prog(mpi):
             comm = mpi.world
             full = yield from hier_allgather(
-                comm, np.array([float(comm.rank * 2)]), TAG, _bridge
+                comm, np.array([float(comm.rank * 2)]), TAG
             )
             return [
                 float(np.asarray(b)[0]) for b in full.as_list(comm.size)
@@ -85,7 +78,7 @@ class TestHierAllgather:
             comm = mpi.world
             row = yield from comm.split(color=comm.rank % 2, key=comm.rank)
             full = yield from hier_allgather(
-                row, np.array([float(comm.rank)]), TAG, _bridge
+                row, np.array([float(comm.rank)]), TAG
             )
             return [float(np.asarray(b)[0]) for b in full.as_list(row.size)]
 
@@ -96,22 +89,14 @@ class TestHierAllgather:
 
 
 class TestHierBcast:
-    def _flat_bcast(self, bridge, payload, root, tag):
-        from repro.mpi.collectives.bcast import bcast_binomial
-
-        result = yield from bcast_binomial(bridge, payload, root, tag)
-        return result
-
     @pytest.mark.parametrize("root", [0, 1, 5])
     def test_roots_leader_and_child(self, root):
-        flat = self._flat_bcast
-
         def prog(mpi):
             comm = mpi.world
             payload = (
                 np.arange(3.0) + root if comm.rank == root else np.empty(3)
             )
-            out = yield from hier_bcast(comm, payload, root, TAG, flat)
+            out = yield from hier_bcast(comm, payload, root, TAG)
             return list(np.asarray(out).reshape(-1))
 
         rets = returns_of(prog, nodes=2, cores=3)
@@ -149,7 +134,7 @@ class TestMultiLeader:
         def prog(mpi):
             comm = mpi.world
             full = yield from multileader_allgather(
-                comm, np.array([float(comm.rank)]), TAG, leaders, _bridge
+                comm, np.array([float(comm.rank)]), TAG, leaders
             )
             return [
                 float(np.asarray(b)[0]) for b in full.as_list(comm.size)
@@ -163,8 +148,7 @@ class TestMultiLeader:
         def prog(mpi):
             comm = mpi.world
             full = yield from multileader_allgather(
-                comm, Bytes(8), TAG, leaders_per_node=99,
-                select_bridge=_bridge,
+                comm, Bytes(8), TAG, leaders_per_node=99
             )
             return len(full.as_list(comm.size))
 
