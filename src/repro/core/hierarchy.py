@@ -17,13 +17,18 @@ construct the context outside the timed region, exactly as §5 excludes
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
+from repro.core.allgather import hy_allgather
+from repro.core.bcast import hy_bcast
 from repro.core.placement import NodeSortedLayout
-from repro.core.shared_buffer import SharedBuffer
+from repro.core.reduce import hy_allreduce
+from repro.core.shared_buffer import SharedBuffer, SlotGeometry
 from repro.core.sync import BarrierSync, SyncPolicy
 from repro.mpi import collectives as _coll
-from repro.mpi.constants import UNDEFINED
+from repro.mpi.collectives.replay import payload_signature, sync_signature
+from repro.mpi.constants import UNDEFINED, ReduceOp
+from repro.mpi.nonblocking import spawn_collective
 from repro.mpi.shm import win_allocate_shared
 
 __all__ = ["HybridContext"]
@@ -180,19 +185,45 @@ class HybridContext:
         return self.layout.nodes[bridge_rank]
 
     # -- buffer factories --------------------------------------------------------
-    def _alloc(self, slot_sizes: list[int], cache_key: Any = None):
-        """Coroutine: allocate a node-shared buffer with the given
-        node-major *slot_sizes* (leader allocates all; children zero)."""
+    def _geometry(self, shape: tuple,
+                  node_major_sizes: Callable[[], list[int]]) -> SlotGeometry:
+        """The communicator's one slot geometry of *shape*.
+
+        It is a pure function of the communicator and *shape*, so the
+        first rank to ask builds it from ``node_major_sizes()`` into
+        ``comm.shared_cache`` and every rank's buffer shares that copy."""
+        shared = self.comm.shared_cache
+        key = ("_slot_geometry", shape)
+        geometry = shared.get(key)
+        if geometry is None:
+            geometry = shared[key] = SlotGeometry.of(node_major_sizes())
+        return geometry
+
+    def _uniform_geometry(self, nbytes: int) -> SlotGeometry:
+        """One *nbytes* slot per comm rank."""
+        return self._geometry(
+            ("uniform", nbytes), lambda: [nbytes] * self.comm.size
+        )
+
+    def _slot0_geometry(self, nbytes: int) -> SlotGeometry:
+        """All *nbytes* in slot 0, every other slot empty."""
+        return self._geometry(
+            ("slot0", nbytes),
+            lambda: [nbytes] + [0] * (self.comm.size - 1),
+        )
+
+    def _alloc(self, geometry: SlotGeometry, cache_key: Any = None):
+        """Coroutine: allocate a node-shared buffer of the given slot
+        *geometry* (leader allocates all; children zero)."""
         if cache_key is not None and cache_key in self._buffers:
             return self._buffers[cache_key]
-        total = sum(slot_sizes)
         win = yield from win_allocate_shared(
-            self.shm, total if self.is_leader else 0
+            self.shm, geometry.total if self.is_leader else 0
         )
         buf = SharedBuffer(
             win=win,
             layout=self.layout,
-            slot_sizes=slot_sizes,
+            slot_sizes=geometry,
             my_rank=self.comm.rank,
             node=self.node,
             data_mode=self.comm.ctx.data_mode,
@@ -204,9 +235,9 @@ class HybridContext:
     def allgather_buffer(self, nbytes_per_rank: int, cache: bool = True):
         """Coroutine: buffer for a *regular* allgather — one
         ``nbytes_per_rank`` slot per comm rank, one copy per node."""
-        sizes = [int(nbytes_per_rank)] * self.comm.size
+        geometry = self._uniform_geometry(int(nbytes_per_rank))
         key = ("ag", nbytes_per_rank) if cache else None
-        buf = yield from self._alloc(sizes, key)
+        buf = yield from self._alloc(geometry, key)
         return buf
 
     def allgatherv_buffer(self, nbytes_by_rank: list[int], cache: bool = True):
@@ -214,11 +245,17 @@ class HybridContext:
         sizes (indexed by comm rank, reordered node-major internally)."""
         if len(nbytes_by_rank) != self.comm.size:
             raise ValueError("one size per comm rank required")
-        sizes = [0] * self.comm.size
-        for rank, nb in enumerate(nbytes_by_rank):
-            sizes[self.layout.slot_of_rank(rank)] = int(nb)
-        key = ("agv", tuple(nbytes_by_rank)) if cache else None
-        buf = yield from self._alloc(sizes, key)
+
+        def node_major():
+            sizes = [0] * self.comm.size
+            for rank, nb in enumerate(nbytes_by_rank):
+                sizes[self.layout.slot_of_rank(rank)] = int(nb)
+            return sizes
+
+        by_rank = tuple(nbytes_by_rank)
+        geometry = self._geometry(("by_rank", by_rank), node_major)
+        key = ("agv", by_rank) if cache else None
+        buf = yield from self._alloc(geometry, key)
         return buf
 
     def bcast_buffer(self, nbytes: int, cache: bool = True):
@@ -227,10 +264,9 @@ class HybridContext:
 
         Internally the whole size sits in slot 0 so the buffer machinery
         (regions, payloads) applies unchanged."""
-        sizes = [0] * self.comm.size
-        sizes[0] = int(nbytes)
+        geometry = self._slot0_geometry(int(nbytes))
         key = ("bc", nbytes) if cache else None
-        buf = yield from self._alloc(sizes, key)
+        buf = yield from self._alloc(geometry, key)
         return buf
 
     # -- collective operations (delegates) --------------------------------------
@@ -246,12 +282,11 @@ class HybridContext:
 
         ``pipelined=True`` forces the chunked bridge exchange; ``None``
         (default) lets the rank's selection policy pick the variant."""
-        from repro.core.allgather import hy_allgather
-        from repro.mpi.collectives.replay import sync_signature
-
+        # ``buf.slot_sizes`` is the communicator's one shared tuple, so
+        # this signature costs O(1) and compares by identity.
         sd = sync_signature(sync or self.default_sync)
         sig = None if sd is None else (
-            "hyag", tuple(buf.slot_sizes), sd, pipelined, chunk_bytes,
+            "hyag", buf.slot_sizes, sd, pipelined, chunk_bytes,
             pack_datatypes,
         )
         yield from _coll._dispatch(
@@ -265,13 +300,10 @@ class HybridContext:
     def bcast(self, buf: SharedBuffer, root: int = 0,
               sync: SyncPolicy | None = None):
         """Coroutine: hybrid broadcast over *buf* (paper Fig 6)."""
-        from repro.core.bcast import hy_bcast
-        from repro.mpi.collectives.replay import sync_signature
-
         self.comm._check_peer(root, "root")
         sd = sync_signature(sync or self.default_sync)
         sig = None if sd is None else (
-            "hybc", tuple(buf.slot_sizes), sd, root,
+            "hybc", buf.slot_sizes, sd, root,
         )
         yield from _coll._dispatch(
             self.comm, "hy_bcast", sig,
@@ -281,13 +313,6 @@ class HybridContext:
     def allreduce(self, contribution, nbytes: int,
                   op=None, sync: SyncPolicy | None = None):
         """Coroutine: hybrid allreduce extension; returns result payload."""
-        from repro.core.reduce import hy_allreduce
-        from repro.mpi.collectives.replay import (
-            payload_signature,
-            sync_signature,
-        )
-        from repro.mpi.constants import ReduceOp
-
         rop = op or ReduceOp.SUM
         sd = sync_signature(sync or self.default_sync)
         psig = payload_signature(contribution)
@@ -311,8 +336,6 @@ class HybridContext:
         its own background process, so children overlap their compute
         with the leaders' bridge exchange.  Profiled under *op* with
         issue-to-completion timing."""
-        from repro.mpi.nonblocking import spawn_collective
-
         comm = self.comm
         return spawn_collective(comm, op, comm._collective(op, nbytes, gen))
 
@@ -322,8 +345,6 @@ class HybridContext:
                    pack_datatypes: bool = False):
         """Immediate hybrid allgather; wait on the returned request
         before reading ``buf.node_view()``."""
-        from repro.core.allgather import hy_allgather
-
         return self._ihy(
             "hy_iallgather", buf.total_nbytes,
             hy_allgather(
@@ -337,8 +358,6 @@ class HybridContext:
         """Immediate hybrid broadcast (the root must have stored its
         message into ``buf`` *before* posting); wait on the returned
         request before reading ``buf.node_view()``."""
-        from repro.core.bcast import hy_bcast
-
         self.comm._check_peer(root, "root")
         return self._ihy(
             "hy_ibcast", buf.total_nbytes,
@@ -349,9 +368,6 @@ class HybridContext:
                    op=None, sync: SyncPolicy | None = None):
         """Immediate hybrid allreduce; the request's value is the result
         payload."""
-        from repro.core.reduce import hy_allreduce
-        from repro.mpi.constants import ReduceOp
-
         return self._ihy(
             "hy_iallreduce", nbytes,
             hy_allreduce(

@@ -50,11 +50,11 @@ def _fold_factor(ctx) -> float:
 def _scratch_buffer(ctx, nbytes: int):
     """Coroutine: (cached) scratch window — ppn contribution slots plus
     one result region, all node-local."""
-    sizes = [nbytes] * ctx.comm.size
-    buf = yield from ctx._alloc(sizes, cache_key=("ar_scratch", nbytes))
+    buf = yield from ctx._alloc(
+        ctx._uniform_geometry(nbytes), cache_key=("ar_scratch", nbytes)
+    )
     result_buf = yield from ctx._alloc(
-        [nbytes] + [0] * (ctx.comm.size - 1),
-        cache_key=("ar_result", nbytes),
+        ctx._slot0_geometry(nbytes), cache_key=("ar_result", nbytes)
     )
     return buf, result_buf
 

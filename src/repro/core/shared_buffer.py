@@ -15,7 +15,8 @@ for the leader's single ``MPI_Allgatherv`` on the bridge communicator.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import accumulate
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,26 @@ from repro.core.placement import NodeSortedLayout
 from repro.mpi.datatypes import Bytes
 from repro.mpi.shm import SharedWindow
 
-__all__ = ["SharedBuffer"]
+__all__ = ["SharedBuffer", "SlotGeometry"]
+
+
+class SlotGeometry(NamedTuple):
+    """The slot table of one buffer shape: bytes and byte offset per
+    slot (node-major), and their total.
+
+    Immutable, so one copy per communicator and shape serves every
+    rank's :class:`SharedBuffer` (see ``HybridContext._alloc``): an
+    n-entry table per rank would cost O(p^2) per job."""
+
+    sizes: tuple[int, ...]
+    offsets: tuple[int, ...]
+    total: int
+
+    @classmethod
+    def of(cls, slot_sizes: Iterable[int]) -> "SlotGeometry":
+        sizes = tuple(slot_sizes)
+        ends = tuple(accumulate(sizes, initial=0))
+        return cls(sizes, ends[:-1], ends[-1])
 
 
 class SharedBuffer:
@@ -36,7 +56,8 @@ class SharedBuffer:
     layout:
         Node-major slot layout of the parent communicator.
     slot_sizes:
-        Bytes per slot, indexed by *slot* (node-major order).
+        Bytes per slot, indexed by *slot* (node-major order), or the
+        :class:`SlotGeometry` they make (shared, not copied).
     my_rank:
         This rank's parent-comm rank.
     node:
@@ -54,22 +75,18 @@ class SharedBuffer:
         self,
         win: SharedWindow,
         layout: NodeSortedLayout,
-        slot_sizes: list[int],
+        slot_sizes: Iterable[int] | SlotGeometry,
         my_rank: int,
         node: int,
         data_mode: bool,
     ):
-        if len(slot_sizes) != layout.size:
+        geometry = (slot_sizes if isinstance(slot_sizes, SlotGeometry)
+                    else SlotGeometry.of(slot_sizes))
+        if len(geometry.sizes) != layout.size:
             raise ValueError("one slot size per rank required")
         self.win = win
         self.layout = layout
-        self.slot_sizes = list(slot_sizes)
-        self.slot_offsets: list[int] = []
-        off = 0
-        for s in self.slot_sizes:
-            self.slot_offsets.append(off)
-            off += s
-        self.total_nbytes = off
+        self.slot_sizes, self.slot_offsets, self.total_nbytes = geometry
         self.my_rank = my_rank
         self.node = node
         self.data_mode = data_mode

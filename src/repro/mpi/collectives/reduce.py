@@ -252,7 +252,10 @@ def allreduce_ring(comm, payload: Any, op: ReduceOp, tag: int):
         results = yield AllOf([rreq.event, sreq.event])
         incoming, _status = results[0]
         segments[recv_idx] = incoming
-    if isinstance(payload, Bytes):
+    if any(isinstance(s, Bytes) for s in segments):
+        # Size markers arrived instead of data (a Bytes payload, or an
+        # ndarray one in cost-only mode): as ``combine`` does for mixed
+        # operands, the result is a marker of the caller's byte size.
         return Bytes(sum(s.nbytes for s in segments))
     flat = np.concatenate([np.asarray(s).reshape(-1) for s in segments])
     return flat.reshape(np.asarray(payload).shape)

@@ -13,7 +13,8 @@ function of the *replay key*:
   tuning personality, selection policy, link contention, trace detail
   and engine path;
 * the operation name and the per-rank payload signatures (sizes/roots/
-  reduce ops — the dtype signature);
+  reduce ops — the dtype signature), collapsed to one signature when
+  every rank's is the same (:func:`signature_vector`);
 * the vector of relative per-rank entry-time offsets.
 
 When every rank of a world-covering communicator enters a collective at
@@ -104,6 +105,7 @@ __all__ = [
     "ReplayVerifyError",
     "payload_signature",
     "sync_signature",
+    "signature_vector",
     "replay_key",
     "cache_stats",
     "clear_cache",
@@ -181,6 +183,12 @@ def payload_signature(payload: Any):
     return None
 
 
+#: The two modelled sync policy classes, bound on first use
+#: (:mod:`repro.core` imports this module, so importing them at load
+#: time would be circular).
+_sync_classes: tuple[type, type] | None = None
+
+
 def sync_signature(sync: Any):
     """Keyable descriptor of an on-node sync policy, or None.
 
@@ -188,18 +196,55 @@ def sync_signature(sync: Any):
     subclass could carry hidden state the signature cannot capture, so
     it vetoes replay.
     """
-    from repro.core.sync import BarrierSync, FlagSync
+    global _sync_classes
+    if _sync_classes is None:
+        from repro.core.sync import BarrierSync, FlagSync
 
-    if type(sync) is BarrierSync:
+        _sync_classes = (BarrierSync, FlagSync)
+    barrier, flags = _sync_classes
+    if type(sync) is barrier:
         return ("barrier",)
-    if type(sync) is FlagSync:
+    if type(sync) is flags:
         return ("flags", sync.flag_latency)
     return None
+
+
+class _Uniform:
+    """Marker of a collapsed signature vector; equal only to itself."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "UNIFORM"
+
+
+_UNIFORM = _Uniform()
+
+
+def signature_vector(sigs: list) -> tuple:
+    """The key form of the per-rank signatures *sigs* (rank order).
+
+    When every rank's signature equals rank 0's — every repetition of a
+    benchmark loop — the vector collapses to ``(UNIFORM, sig0)``, so
+    hashing and comparing it costs one signature, not n.  A non-uniform
+    vector stays the full tuple.  No signature equals the marker, so a
+    collapsed vector never equals an uncollapsed one.  Signatures that
+    share their large parts (a hybrid op's slot-size tuple is one
+    object per communicator) compare by identity.
+    """
+    s0 = sigs[0]
+    for s in sigs:
+        if s is not s0 and s != s0:
+            return tuple(sigs)
+    return (_UNIFORM, s0)
 
 
 def replay_key(prefix: tuple, op: str, sigs: tuple, offsets: tuple,
                order: tuple = ()) -> tuple:
     """The full cache key of one dispatch.
+
+    *sigs* is the per-rank signature vector in key form
+    (:func:`signature_vector`).
 
     *offsets* is the vector of per-rank entry-time offsets in ticks
     relative to the earliest rank.  The runtime only ever replays the
@@ -630,7 +675,7 @@ class ReplaySession:
             self._release(pend, "live", None)
             return
         self._pending.pop(pkey, None)
-        sigs = tuple(pend.arrivals[r][0] for r in range(n))
+        sigs = signature_vector([pend.arrivals[r][0] for r in range(n)])
         if (any(s is None for s in sigs) or self.window is not None
                 or not self.quiescent()):
             # An open window here was tainted by this dispatch's entry.

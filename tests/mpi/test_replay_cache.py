@@ -21,6 +21,7 @@ from repro.mpi.collectives.replay import (
     job_prefix,
     payload_signature,
     replay_key,
+    signature_vector,
     sync_signature,
 )
 from repro.mpi.datatypes import Bytes
@@ -367,3 +368,210 @@ class TestCleanWindowOutsideMessageEngine:
         assert _counters(on) == _counters(off)
         assert on_pairs == off_pairs
         assert on.comm_summary() == off.comm_summary()
+
+
+# ---------------------------------------------------------------------------
+# Uniform signature vectors collapse to one representative
+# ---------------------------------------------------------------------------
+
+_SPAN_DROP = ("sid", "parent", "replayed")
+
+
+def _spans(records):
+    """Span stream without allocation-order artifacts, same-tick records
+    in canonical order."""
+    stripped = [
+        {k: v for k, v in r.items() if k not in _SPAN_DROP} for r in records
+    ]
+    return sorted(stripped, key=lambda d: (d.get("t", 0.0), sorted(
+        (k, repr(v)) for k, v in d.items()
+    )))
+
+
+def _observed(program, replay, spec=None, placement=None, **kwargs):
+    """Everything virtual time shows of one job: returns, finish times,
+    counters, profiles, per-pair traffic and the p2p span stream."""
+    job = MPIJob(
+        spec or hazel_hen(2), program,
+        placement=placement or Placement.irregular([4, 3]),
+        payload="cost-only", trace="p2p", replay=replay,
+        program_kwargs=kwargs,
+    )
+    result = job.run()
+    return result, (
+        result.returns, result.finish_times, _counters(result),
+        result.comm_summary(), dict(job.machine.network.stats.per_pair),
+        _spans(result.trace),
+    )
+
+
+def _assert_replay_invisible(monkeypatch, program, **kwargs):
+    """Replay on, and replay on with every hit verified live, both match
+    replay off bit for bit; returns the two replaying results."""
+    _off, expected = _observed(program, False, **kwargs)
+    replaylib.clear_cache()
+    on, seen = _observed(program, "loop", **kwargs)
+    assert seen == expected
+    replaylib.clear_cache()
+    monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
+    verified, seen = _observed(program, "loop", **kwargs)
+    assert seen == expected
+    return on, verified
+
+
+def _keys_of(op):
+    return [key for key in replaylib._CACHE if key[1] == op]
+
+
+def _mixed(mpi, reps=4):
+    """A uniform allgather and two irregular allgathervs, alternating.
+    The allgathervs' per-rank sizes differ; they agree on rank 0's size
+    and on the total, so only their full vectors tell them apart."""
+    comm = mpi.world
+    mine = Bytes(8 * (1 + comm.rank % 3))
+    permuted = Bytes(8 * (1 + -comm.rank % 3))
+    for _ in range(reps):
+        yield from comm.align()
+        yield from comm.allgather(Bytes(64))
+        yield from comm.align()
+        yield from comm.allgatherv(mine)
+        yield from comm.align()
+        yield from comm.allgatherv(permuted)
+    return mpi.now
+
+
+def _hybrid_shapes(mpi, reps=4):
+    """Hybrid allgathers over three buffer shapes, alternating."""
+    from repro.core import HybridContext
+
+    comm = mpi.world
+    ctx = yield from HybridContext.create(comm)
+    bufs = [
+        (yield from ctx.allgather_buffer(8)),
+        (yield from ctx.allgather_buffer(16)),
+        (yield from ctx.allgatherv_buffer(
+            [8 * (1 + r % 3) for r in range(comm.size)]
+        )),
+    ]
+    for _ in range(reps):
+        for buf in bufs:
+            yield from comm.align()
+            yield from ctx.allgather(buf)
+    return mpi.now
+
+
+def _geometry_probe(mpi):
+    """Every buffer factory's slot table, as this rank holds it."""
+    from repro.core import HybridContext
+
+    ctx = yield from HybridContext.create(mpi.world)
+    bufs = [
+        (yield from ctx.allgather_buffer(8)),
+        (yield from ctx.allgather_buffer(8, cache=False)),
+        (yield from ctx.allgatherv_buffer([8 + r for r in range(7)])),
+        (yield from ctx.bcast_buffer(64)),
+    ]
+    return [(b.slot_sizes, b.slot_offsets, b.total_nbytes) for b in bufs]
+
+
+class TestUniformCollapse:
+    """A signature vector all ranks agree on is keyed by one signature;
+    any other stays per rank, and neither aliases the other."""
+
+    def setup_method(self):
+        replaylib.clear_cache()
+
+    def test_collapses_only_uniform_vectors(self):
+        uniform = signature_vector([("b", 8)] * 4)
+        assert uniform == (replaylib._UNIFORM, ("b", 8))
+        mixed = [("b", 8), ("b", 16), ("b", 8), ("b", 8)]
+        assert signature_vector(mixed) == tuple(mixed)
+        # Two ranks: the collapsed form has the length of a full vector,
+        # but the marker equals no signature.
+        assert signature_vector([("b", 8)] * 2) != (("b", 8), ("b", 8))
+        assert (signature_vector([("b", 8), ("b", 16)])
+                != signature_vector([("b", 8)] * 2))
+
+    def test_shared_parts_compare_by_identity(self):
+        class Sizes:
+            compared = 0
+
+            def __eq__(self, other):
+                Sizes.compared += 1
+                return True
+
+            __hash__ = object.__hash__
+
+        sizes = Sizes()
+        sigs = [("hyag", sizes, r * 0) for r in range(64)]
+        assert len({id(s) for s in sigs}) == 64
+        assert signature_vector(sigs)[1] is sigs[0]
+        assert Sizes.compared == 0
+
+    def test_mixed_uniform_and_irregular_dispatches(self, monkeypatch):
+        on, verified = _assert_replay_invisible(monkeypatch, _mixed)
+        # Per shape: warm-first and the measured second occurrence run
+        # live, the other two repetitions replay.
+        assert on.replay_hits == verified.replay_hits == 3 * 2
+        (uniform,) = _keys_of("allgather")
+        assert uniform[2][0] is replaylib._UNIFORM
+        assert len(uniform[2]) == 2
+        irregular = _keys_of("allgatherv")
+        assert len(irregular) == 2
+        for key in irregular:
+            assert len(key[2]) == 7
+            assert len(set(key[2])) == 3
+
+    def test_alternating_hybrid_buffer_shapes(self, monkeypatch):
+        on, verified = _assert_replay_invisible(monkeypatch, _hybrid_shapes)
+        assert on.replay_hits == verified.replay_hits == 3 * 2
+        keys = _keys_of("hy_allgather")
+        assert len(keys) == 3
+        slot_sizes = {key[2][1][1] for key in keys}
+        assert len(slot_sizes) == 3
+
+
+class TestSharedGeometry:
+    """Structural O(ranks) guards: one slot table per communicator and
+    shape, one signature per uniform record key."""
+
+    def setup_method(self):
+        replaylib.clear_cache()
+
+    def test_ranks_share_one_slot_table_per_shape(self):
+        result = run_program(
+            hazel_hen(2), None, _geometry_probe,
+            placement=Placement.irregular([4, 3]), payload="cost-only",
+        )
+        per_shape = list(zip(*result.returns))
+        regular, uncached, irregular, bcast = per_shape
+        for tables in per_shape:
+            assert len({id(sizes) for sizes, _o, _t in tables}) == 1
+            assert len({id(offsets) for _s, offsets, _t in tables}) == 1
+            sizes, offsets, total = tables[0]
+            assert type(sizes) is tuple and type(offsets) is tuple
+            assert list(offsets) == [sum(sizes[:i])
+                                     for i in range(len(sizes))]
+            assert total == sum(sizes)
+        # A shape's geometry is shared whether or not the buffer is
+        # cached: the table is immutable.
+        assert regular[0][1] is uncached[0][1]
+        assert irregular[0][2] == sum(8 + r for r in range(7))
+        assert bcast[0][0] == (64,) + (0,) * 6
+
+    def test_uniform_hybrid_key_holds_one_signature(self):
+        from repro.bench.osu import hybrid_allgather_program
+
+        n = 24
+        result = run_program(
+            hazel_hen(2), None, hybrid_allgather_program,
+            placement=Placement.irregular([16, 8]), payload="cost-only",
+            replay="loop",
+            program_kwargs={"nbytes_per_rank": 64, "reps": 5},
+        )
+        assert result.replay_hits > 0
+        (key,) = _keys_of("hy_allgather")
+        sigs = key[2]
+        assert sigs[0] is replaylib._UNIFORM
+        assert len(sigs) == 2
+        assert sigs[1][1] == (64,) * n

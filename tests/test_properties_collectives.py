@@ -326,6 +326,42 @@ def test_every_algorithm_matches_flat_reference(pkey, op, algo_name):
     assert (op, algo_name) in dispatched
 
 
+# Cost-only cells: ndarray payloads travel as size markers, so the
+# algorithm must return a marker of the caller's size, at the virtual
+# time data mode takes.  ``cost_model`` picks the ring on this
+# non-power-of-two comm, like the forced policy.
+
+def _prog_allreduce_large(mpi):
+    out = yield from mpi.world.allreduce(np.ones(20000))
+    return out
+
+
+@pytest.mark.parametrize(
+    "policy", [ForcedSelection({"allreduce": "ring"}), "cost_model"],
+    ids=["ring", "cost_model"],
+)
+def test_cost_only_allreduce_on_nonpof2_comm(policy):
+    from repro.machine.presets import hazel_hen
+    from repro.mpi import run_program
+    from repro.mpi.datatypes import Bytes
+
+    def job(payload):
+        return run_program(
+            hazel_hen(2), None, _prog_allreduce_large,
+            placement=Placement.irregular([3, 3]), payload=payload,
+            policy=policy, trace=True,
+        )
+
+    cost_only, data = job("cost-only"), job("data")
+    assert {(r["op"], r["algo"]) for r in cost_only.trace} == {
+        ("allreduce", "ring")
+    }
+    assert all(isinstance(r, Bytes) and r.nbytes == 160000
+               for r in cost_only.returns)
+    assert all(np.array_equal(r, np.full(20000, 6.0)) for r in data.returns)
+    assert cost_only.finish_times == data.finish_times
+
+
 @given(seed=st.integers(0, 10_000))
 @_CHEAP
 def test_engine_time_never_decreases_through_collectives(seed):
