@@ -102,19 +102,22 @@ def allgather_ring(comm, payload: Any, tag: int,
         return mine
     right = (rank + 1) % size
     left = (rank - 1) % size
+    # The block forwarded next is always the one just received, so the
+    # carry is kept as a payload instead of being read back from
+    # ``mine.blocks``, whose map ``merge`` may replace (copy-on-write).
     carry_owner = rank
-    blocks = mine.blocks
+    carry = payload
     merge = mine.merge
     isend = comm.isend
     irecv = comm.irecv
     for _step in range(size - 1):
-        chunk = BlockSet.single(carry_owner, blocks[carry_owner])
+        chunk = BlockSet.single(carry_owner, carry)
         rreq = irecv(source=left, tag=tag)
         sreq = isend(chunk, right, tag)
         results = yield AllOf([rreq.event, sreq.event])
         incoming, _status = results[0]
         if len(incoming.blocks) != 1:
             raise AssertionError("ring step must carry exactly one block")
-        carry_owner = next(iter(incoming.blocks))
+        ((carry_owner, carry),) = incoming.blocks.items()
         merge(incoming)
     return mine

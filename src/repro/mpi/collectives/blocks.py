@@ -3,9 +3,10 @@
 Allgather-family algorithms move *sets of per-rank blocks* between
 processes (recursive doubling doubles the number of blocks carried per
 message; ring forwards one block at a time).  :class:`BlockSet` is the
-wire format: an immutable-ish map ``owner_rank → payload`` whose
-``nbytes`` is the sum of its members — which is exactly what the message
-cost model needs in both data and model payload modes.
+wire format: a map ``owner_rank → payload`` whose ``nbytes`` is the sum
+of its members — which is exactly what the message cost model needs in
+both data and model payload modes.  Cost-only sends snapshot a set in
+O(1) by sharing its map copy-on-write (:meth:`BlockSet.sim_snapshot`).
 """
 
 from __future__ import annotations
@@ -24,13 +25,21 @@ class BlockSet:
     bookkeeping in Bruck all-to-all); it is copied on clone but does not
     contribute to ``nbytes``.
 
-    ``nbytes`` is maintained incrementally: blocks only ever enter via
-    the constructor, :meth:`add` or :meth:`merge` (never mutate
-    ``blocks`` directly), so the total never needs a rescan — at paper
-    scale the allgather algorithms consult it millions of times.
+    Blocks only ever enter via the constructor, :meth:`add` or
+    :meth:`merge`; never mutate ``blocks`` directly, and do not hold an
+    alias of it across an ``add``/``merge``.  Two invariants rest on
+    that rule:
+
+    * ``nbytes`` is maintained incrementally, so the total never needs
+      a rescan — at paper scale the allgather algorithms consult it
+      millions of times;
+    * the map is copy-on-write: :meth:`sim_snapshot` shares it with the
+      snapshot and flags both sets, and ``add``/``merge`` on a flagged
+      set first replace its map with a private copy.  Contents seen
+      through either set never change because of the other.
     """
 
-    __slots__ = ("blocks", "meta", "nbytes")
+    __slots__ = ("blocks", "meta", "nbytes", "_shared")
 
     def __init__(
         self,
@@ -45,6 +54,7 @@ class BlockSet:
         #: Total payload bytes across all blocks — a plain slot (not a
         #: property) because the size oracle reads it millions of times.
         self.nbytes = total
+        self._shared = False
 
     @classmethod
     def single(cls, owner: int, payload: Any) -> "BlockSet":
@@ -56,6 +66,7 @@ class BlockSet:
         new.nbytes = (
             payload.nbytes if type(payload) is Bytes else nbytes_of(payload)
         )
+        new._shared = False
         return new
 
     def sim_clone(self) -> "BlockSet":
@@ -69,27 +80,41 @@ class BlockSet:
         }
         new.meta = dict(self.meta)
         new.nbytes = self.nbytes
+        new._shared = False
         return new
 
     def sim_snapshot(self) -> "BlockSet":
-        """Shallow snapshot for cost-only sends: the member payloads are
-        shared, only the owner map is copied (insulating the receiver
-        from post-send ``add``/``merge`` on the sender's set)."""
+        """O(1) snapshot for cost-only sends (the member payloads are
+        immutable size markers in that mode).
+
+        The snapshot shares this set's owner map and both sets are
+        flagged copy-on-write, so a later ``add``/``merge`` on either
+        side copies the map before changing it: the receiver sees the
+        blocks as they were at send time, and the sender's set stays
+        insulated from the receiver's.
+        """
         new = BlockSet.__new__(BlockSet)
-        new.blocks = dict(self.blocks)
+        new.blocks = self.blocks
         new.meta = dict(self.meta)
         new.nbytes = self.nbytes
+        new._shared = self._shared = True
         return new
 
     def add(self, owner: int, payload: Any) -> None:
         """Insert a block, refusing silent overwrite of a different one."""
         if owner in self.blocks:
             raise KeyError(f"block for rank {owner} already present")
+        if self._shared:
+            self.blocks = dict(self.blocks)
+            self._shared = False
         self.blocks[owner] = payload
         self.nbytes += nbytes_of(payload)
 
     def merge(self, other: "BlockSet") -> None:
         """Union another block set into this one."""
+        if self._shared:
+            self.blocks = dict(self.blocks)
+            self._shared = False
         blocks = self.blocks
         others = other.blocks
         # The common case (ring/recursive-doubling rounds) is a disjoint

@@ -23,9 +23,12 @@ implementation replays) and the job is quiescent, the dispatch is not
 simulated at all.  Instead its record is applied in O(nranks): one
 pre-triggered wake event per rank at ``entry + delta``, bulk counter
 increments, and the recorded span slice re-emitted time-shifted with a
-``replayed`` tag.  Virtual-time latencies, traffic accounting and span
-streams are bit-identical to normal execution (the equivalence suite
-asserts this); only the processed-event count drops — that is the point.
+``replayed`` tag.  A record stores one copy of each distinct per-rank
+result (every rank of an allgather shares one), and each rank's own
+copy of its result is built only when that rank resumes.  Virtual-time
+latencies, traffic accounting and span streams are bit-identical to
+normal execution (the equivalence suite asserts this); only the
+processed-event count drops — that is the point.
 
 Recording — the live second occurrence
 --------------------------------------
@@ -305,9 +308,13 @@ class _Record:
         self.templates = templates    # span templates (t as relative ticks)
         self.events = events          # engine events one live execution costs
         self.exit_order = exit_order  # ranks in exit-event processing order
-        self.profiles = profiles      # per-rank (op, dcalls, dbytes, dtime)
+        #: ``(rank, ((op, dcalls, dbytes, dtime), ...))`` in rank order,
+        #: for the ranks whose profile changed only.
+        self.profiles = profiles
 
     def result_for(self, rank: int):
+        """*rank*'s result, as a fresh object when it is mutable (ranks
+        with equal results share one stored object)."""
         v = self.results[rank]
         # Lists are handed to callers who may mutate them; Bytes/None are
         # value-semantic and safe to share.
@@ -383,8 +390,8 @@ class _MeasureState:
     __slots__ = ("session", "op", "key", "wkey", "expect", "nranks",
                  "t0_ticks", "events0", "counters_base", "per_pair_base",
                  "trace_base", "prof_base", "d_ticks", "results",
-                 "profiles", "reported_at", "counters_first", "counters",
-                 "per_pair", "templates", "tainted")
+                 "last_list", "profiles", "reported_at", "counters_first",
+                 "counters", "per_pair", "templates", "tainted")
 
     def __init__(self, session: "ReplaySession", op: str, key, wkey,
                  expect: _Record | None):
@@ -413,6 +420,9 @@ class _MeasureState:
         #: each rank's continuation processes).
         self.d_ticks: dict[int, int] = {}
         self.results: dict[int, Any] = {}
+        #: The list result stored last; an equal one is stored as it.
+        self.last_list: list | None = None
+        #: Rank -> profile increments, for ranks whose profile changed.
         self.profiles: dict[int, tuple] = {}
         #: Rank -> trace length at its report (span-taint detection).
         self.reported_at: dict[int, int] = {}
@@ -433,7 +443,17 @@ class _MeasureState:
         if not self.d_ticks:
             self.counters_first = _counters(job)
         self.d_ticks[rank] = d_ticks
-        self.results[rank] = list(result) if type(result) is list else result
+        if type(result) is list:
+            # Ranks report in exit order and agree on an allgather's
+            # result, so comparing with the last stored list finds the
+            # sharing; list equality tests identity first, and the
+            # members are one set of shared markers in cost-only mode.
+            last = self.last_list
+            if last is not None and result == last:
+                result = last
+            else:
+                result = self.last_list = list(result)
+        self.results[rank] = result
         # Every quantity on the tick grid at benchmark magnitudes sums
         # exactly in binary floating point, so plain deltas reproduce
         # live accumulation bit-for-bit.
@@ -443,7 +463,8 @@ class _MeasureState:
             c0, b0, t0 = before.get(o, (0, 0.0, 0.0))
             if (s.calls, s.bytes, s.time) != (c0, b0, t0):
                 delta.append((o, s.calls - c0, s.bytes - b0, s.time - t0))
-        self.profiles[rank] = tuple(sorted(delta))
+        if delta:
+            self.profiles[rank] = tuple(sorted(delta))
         if job.tracer is not None:
             self.reported_at[rank] = len(job.tracer.records)
         if len(self.d_ticks) == self.nranks:
@@ -507,7 +528,7 @@ class _MeasureState:
             # The n release wakes are parking overhead, not dispatch.
             session.engine.event_count - self.events0 - n,
             tuple(self.d_ticks),
-            tuple(self.profiles[r] for r in range(n)),
+            tuple(sorted(self.profiles.items())),
         )
         if self.tainted:
             STATS["tainted"] += 1
@@ -647,7 +668,7 @@ class ReplaySession:
         pend.arrivals[comm.rank] = (sig, ev)
         verdict, value = yield ev
         if verdict == "done":
-            return value
+            return value.result_for(comm.rank)
         result = yield from inner()
         if verdict == "measure":
             value.report(
@@ -784,7 +805,7 @@ class ReplaySession:
             )
         if job.tracer is not None and rec.templates is not None:
             job.tracer.emit_replayed(rec.templates, base_ticks)
-        for rank, delta in enumerate(rec.profiles):
+        for rank, delta in rec.profiles:
             prof = job.contexts[rank].profile
             if not prof.enabled:
                 continue
@@ -800,11 +821,13 @@ class ReplaySession:
         self.events_saved += rec.events - self.world_size
         # Push wakes in recorded exit order: ranks leaving at the same
         # tick resume in the same relative order as live execution, so
-        # the *next* dispatch sees an identical entry permutation.
+        # the *next* dispatch sees an identical entry permutation.  Each
+        # rank takes its result from the record when it resumes.
+        done = ("done", rec)
         for rank in rec.exit_order:
             ev = pend.arrivals[rank][1]
             # Mimic Engine.timeout(): pre-trigger and schedule at the
             # recorded wake time — one event per rank, O(nranks) total.
             ev._state = _TRIGGERED
-            ev._value = ("done", rec.result_for(rank))
+            ev._value = done
             eng._push((base_ticks + rec.d_ticks[rank]) * TICK, ev)

@@ -126,8 +126,11 @@ def snapshot(payload: Any) -> Any:
     Preserves every size :func:`nbytes_of` would report (so all virtual-
     time charges match :func:`clone` exactly) but never copies storage:
     ndarrays collapse to :class:`Bytes` markers and block containers take
-    a shallow ``sim_snapshot`` (their members are immutable size markers
-    in this mode).
+    an O(1) ``sim_snapshot`` (their members are immutable size markers in
+    this mode).  A :class:`~repro.mpi.collectives.blocks.BlockSet`
+    snapshot shares its source's owner map copy-on-write: the first
+    ``add``/``merge`` on either side gives that side a private copy, so
+    neither ever sees the other's later changes.
     """
     # Hook first: block containers dominate send traffic in the
     # collective sweeps, and the other branches are cheap to fall through.

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.machine.placement import Placement
+from repro.machine.presets import hazel_hen
+from repro.mpi import run_program
 from repro.mpi.collectives.blocks import BlockSet
 from repro.mpi.datatypes import (
     Bytes,
@@ -13,6 +20,7 @@ from repro.mpi.datatypes import (
     copy_into,
     nbytes_of,
     slice_payload,
+    snapshot,
 )
 
 
@@ -152,3 +160,124 @@ class TestBlockSet:
         bs = BlockSet({0: Bytes(8)}, meta={"origin": 3})
         assert bs.nbytes == 8
         assert bs.sim_clone().meta == {"origin": 3}
+
+
+def _contents(bs):
+    return dict(bs.blocks), bs.nbytes
+
+
+class TestBlockSetCopyOnWrite:
+    """Cost-only snapshots share the owner map until either side
+    changes it."""
+
+    def test_snapshot_shares_the_map(self):
+        bs = BlockSet({0: Bytes(1), 1: Bytes(2)}, meta={"origin": 1})
+        snap = snapshot(bs)
+        assert snap is not bs
+        assert snap.blocks is bs.blocks
+        assert snap.nbytes == bs.nbytes == 3
+        assert snap.meta == bs.meta and snap.meta is not bs.meta
+
+    @pytest.mark.parametrize("side", ["source", "snapshot"])
+    @pytest.mark.parametrize("mutation", ["add", "merge"])
+    def test_mutation_leaves_the_other_side(self, side, mutation):
+        bs = BlockSet({0: Bytes(1), 1: Bytes(2)})
+        snap = snapshot(bs)
+        changed, other = (bs, snap) if side == "source" else (snap, bs)
+        before = _contents(other)
+        if mutation == "add":
+            changed.add(5, Bytes(40))
+        else:
+            changed.merge(BlockSet({1: Bytes(99), 6: Bytes(60)}))
+        assert _contents(other) == before
+        assert 5 in changed or 6 in changed
+        assert changed.nbytes == sum(
+            nbytes_of(p) for p in changed.blocks.values()
+        )
+        assert changed.blocks is not other.blocks
+
+    def test_two_snapshots_are_independent(self):
+        bs = BlockSet({0: Bytes(1)})
+        first, second = snapshot(bs), snapshot(bs)
+        first.add(1, Bytes(10))
+        second.merge(BlockSet({2: Bytes(20)}))
+        assert _contents(first) == ({0: Bytes(1), 1: Bytes(10)}, 11)
+        assert _contents(second) == ({0: Bytes(1), 2: Bytes(20)}, 21)
+        assert _contents(bs) == ({0: Bytes(1)}, 1)
+
+    def test_clone_copies_the_map(self):
+        bs = BlockSet({0: Bytes(1)})
+        assert clone(bs).blocks is not bs.blocks
+
+
+#: One step on a pool of block sets: add a block, merge one set into
+#: another (possibly itself) or append a snapshot of one.
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 7), st.integers(0, 9),
+                  st.integers(0, 64)),
+        st.tuples(st.just("merge"), st.integers(0, 7), st.integers(0, 7)),
+        st.tuples(st.just("snapshot"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+@given(_steps)
+@settings(max_examples=60, deadline=None)
+def test_copy_on_write_matches_deep_copy_model(steps):
+    sets = [BlockSet({0: Bytes(8)})]
+    model = [{0: Bytes(8)}]
+    for step in steps:
+        i = step[1] % len(sets)
+        if step[0] == "add":
+            _op, _i, owner, size = step
+            if owner in model[i]:
+                with pytest.raises(KeyError):
+                    sets[i].add(owner, Bytes(size))
+            else:
+                sets[i].add(owner, Bytes(size))
+                model[i][owner] = Bytes(size)
+        elif step[0] == "merge":
+            j = step[2] % len(sets)
+            sets[i].merge(sets[j])
+            model[i] = {**model[j], **model[i]}
+        else:
+            sets.append(snapshot(sets[i]))
+            model.append(dict(model[i]))
+        for bs, expected in zip(sets, model):
+            assert bs.blocks == expected
+            assert bs.nbytes == sum(nbytes_of(b) for b in bs.blocks.values())
+
+
+def _second_allgatherv(mpi, base):
+    """A warm-up allgatherv (lazy set-up), then a second one measured
+    from a tracemalloc peak reset at the aligned entry."""
+    comm = mpi.world
+    yield from comm.allgatherv(Bytes(8))
+    yield from comm.align()
+    if comm.rank == 0:
+        tracemalloc.reset_peak()
+        base.append(tracemalloc.get_traced_memory()[0])
+    yield from comm.allgatherv(Bytes(8))
+    return mpi.now
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(),
+                    reason="tracemalloc already in use")
+def test_live_allgatherv_host_memory():
+    """One live cost-only 1-element allgatherv over hazel_hen(8) x 24
+    ranks.  The node-level broadcasts forward the gathered 192-block map;
+    copy-on-write snapshots keep one map per distinct set instead of one
+    per message.  Peak above the entry (Python 3.11): 2.14 MB when every
+    send copied the map, 0.83 MB with copy-on-write snapshots."""
+    base = []
+    tracemalloc.start()
+    try:
+        run_program(hazel_hen(8), None, _second_allgatherv,
+                    placement=Placement.block(8, 24), payload="cost-only",
+                    replay=False, program_kwargs={"base": base})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base[0] < 1.5e6

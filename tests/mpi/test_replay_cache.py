@@ -575,3 +575,65 @@ class TestSharedGeometry:
         assert sigs[0] is replaylib._UNIFORM
         assert len(sigs) == 2
         assert sigs[1][1] == (64,) * n
+
+
+def _mutating(mpi, reps=5, sink=None):
+    """Aligned allgathers and allgathervs; rank 0 mutates every result
+    list it receives.  Each rank returns its lists' final contents, so
+    a list shared with rank 0 (or with a record) shows the mutation."""
+    comm = mpi.world
+    mine = Bytes(8 * (1 + comm.rank % 2))
+    kept = []
+    for _ in range(reps):
+        yield from comm.align()
+        kept.append((yield from comm.allgather(Bytes(16))))
+        yield from comm.align()
+        kept.append((yield from comm.allgatherv(mine)))
+        if comm.rank == 0:
+            kept[-2][0] = None
+            kept[-1].append(Bytes(1))
+    if sink is not None:
+        sink.extend(kept)
+    return [tuple(got) for got in kept]
+
+
+class TestSharedResults:
+    """A record stores one result per distinct value; every rank still
+    receives a list of its own."""
+
+    def setup_method(self):
+        replaylib.clear_cache()
+
+    def test_mutated_results_stay_private(self, monkeypatch):
+        on, verified = _assert_replay_invisible(monkeypatch, _mutating)
+        assert on.replay_hits == verified.replay_hits == 3 * 2
+        assert all(got[0] is None for got in on.returns[0][::2])
+        for rank_returns in on.returns[1:]:
+            assert all(got[0] is not None for got in rank_returns)
+
+    def test_ranks_never_share_a_list(self):
+        sink = []
+        _observed(_mutating, "loop", sink=sink)
+        assert len(sink) == 7 * 5 * 2
+        assert len({id(got) for got in sink}) == len(sink)
+        assert all(type(got) is list for got in sink)
+
+    def test_agreeing_ranks_hold_one_result(self):
+        _observed(_mutating, "loop")
+        for op in ("allgather", "allgatherv"):
+            (key,) = _keys_of(op)
+            results = replaylib._CACHE[key].results
+            assert len(results) == 7
+            assert len({id(r) for r in results}) == 1
+            assert type(results[0]) is list
+            # A pure dispatch changes no profile below the top-level
+            # entry ``Comm`` re-adds, so its record stores none.
+            assert replaylib._CACHE[key].profiles == ()
+
+    def test_profiles_stored_for_changed_ranks_only(self):
+        _observed(_hybrid_shapes, "loop")
+        for key in _keys_of("hy_allgather"):
+            profiles = replaylib._CACHE[key].profiles
+            ranks = [rank for rank, _delta in profiles]
+            assert ranks == sorted(ranks) and 0 < len(ranks) <= 7
+            assert all(delta for _rank, delta in profiles)
